@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -31,8 +30,8 @@ int main() {
   workload::DatasetSpec spec = workload::DatasetSpec::paper_table1(bench::scale());
   spec.seed = bench::seed();
 
-  int reps = 3;
-  if (const char* e = std::getenv("HSR_BENCH_REPS")) reps = std::max(1, std::atoi(e));
+  const int reps =
+      bench::env_knob("HSR_BENCH_REPS", 3, [](int v) { return v >= 1 && v <= 1000; }, "[1, 1000]");
 
   struct Row {
     unsigned threads = 0;

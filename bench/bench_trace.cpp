@@ -1,5 +1,5 @@
 // Trace-format benchmark: text ("hsrtrace-v2") vs binary columnar
-// ("hsrtrace-b1") serialization throughput and size.
+// ("hsrtrace-b2", the only binary format) serialization throughput and size.
 //
 // At 10^5-10^6-flow campaign scale the corpus I/O — not the simulator — is
 // the wall, so this bench records the numbers that justify the binary

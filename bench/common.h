@@ -8,9 +8,14 @@
 //   HSR_BENCH_SEED   experiment seed; default 2015.
 //   HSR_BENCH_OUT    directory for full-resolution CSV dumps; default
 //                    "bench_out" under the current directory.
+// A numeric knob that is set must parse completely and lie in its range;
+// anything else stops the binary with exit status 2 and a message naming
+// the knob, instead of silently running a different experiment.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -21,14 +26,30 @@
 
 namespace hsr::bench {
 
+// Reads numeric environment knob `name` (unset: `fallback`) strictly: the
+// whole value must parse with std::from_chars and satisfy `in_range`.
+template <typename T, typename InRange>
+T env_knob(const char* name, T fallback, InRange in_range, const char* range_text) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !in_range(value)) {
+    std::cerr << name << "='" << text << "' is not a number in " << range_text << '\n';
+    std::exit(2);
+  }
+  return value;
+}
+
 inline double scale() {
-  if (const char* s = std::getenv("HSR_BENCH_SCALE")) return std::atof(s);
-  return 0.15;
+  return env_knob("HSR_BENCH_SCALE", 0.15, [](double v) { return v > 0.0 && v <= 1.0; },
+                  "(0, 1]");
 }
 
 inline std::uint64_t seed() {
-  if (const char* s = std::getenv("HSR_BENCH_SEED")) return std::strtoull(s, nullptr, 10);
-  return 2015;
+  return env_knob<std::uint64_t>("HSR_BENCH_SEED", 2015, [](std::uint64_t) { return true; },
+                                 "[0, 2^64)");
 }
 
 inline std::filesystem::path out_dir() {

@@ -75,39 +75,6 @@ void CorpusStats::absorb(const FlowStatsSample& sample) {
 
 void CorpusStats::absorb_quarantine() { ++quarantined_; }
 
-void CorpusStats::merge(const CorpusStats& other) {
-  recovery_highspeed_.merge(other.recovery_highspeed_);
-  recovery_stationary_.merge(other.recovery_stationary_);
-  ack_loss_highspeed_.merge(other.ack_loss_highspeed_);
-  ack_loss_stationary_.merge(other.ack_loss_stationary_);
-  data_loss_highspeed_.merge(other.data_loss_highspeed_);
-  data_loss_stationary_.merge(other.data_loss_stationary_);
-  first_tx_loss_highspeed_.merge(other.first_tx_loss_highspeed_);
-  recovery_loss_highspeed_.merge(other.recovery_loss_highspeed_);
-  goodput_highspeed_.merge(other.goodput_highspeed_);
-  goodput_stationary_.merge(other.goodput_stationary_);
-
-  flows_highspeed_ += other.flows_highspeed_;
-  flows_stationary_ += other.flows_stationary_;
-  timeout_sequences_highspeed_ += other.timeout_sequences_highspeed_;
-  spurious_sequences_highspeed_ += other.spurious_sequences_highspeed_;
-  quarantined_ += other.quarantined_;
-  bytes_captured_ += other.bytes_captured_;
-
-  const LossBreakdown& b = other.loss_totals_;
-  loss_totals_.data_sent += b.data_sent;
-  loss_totals_.data_lost += b.data_lost;
-  loss_totals_.ack_sent += b.ack_sent;
-  loss_totals_.ack_lost += b.ack_lost;
-  for (std::size_t c = 0; c < net::kDropCategoryCount; ++c) {
-    loss_totals_.data_by_category[c] += b.data_by_category[c];
-    loss_totals_.ack_by_category[c] += b.ack_by_category[c];
-  }
-  loss_totals_.data_unattributed += b.data_unattributed;
-  loss_totals_.ack_unattributed += b.ack_unattributed;
-  loss_totals_.scripted_drops += b.scripted_drops;
-}
-
 Corpus::Headline CorpusStats::headline() const {
   Corpus::Headline h;
   h.mean_recovery_s_highspeed = recovery_highspeed_.mean();

@@ -1,4 +1,4 @@
-// Merge-able online corpus statistics.
+// Online corpus statistics.
 //
 // The in-memory aggregation path (analysis::Corpus) keeps every FlowAnalysis
 // alive until the end of a campaign — at 10^5-10^6 flows that is exactly the
@@ -13,10 +13,7 @@
 // point, so absorb() must be called in flow-index order — then every
 // accumulator sees the identical add sequence the in-memory path produces
 // and headline() is BITWISE equal to Corpus::headline(), for any thread
-// count (tests pin this). merge() (Chan's method) is provided for combining
-// independently-built partial stats — e.g. stats files from separate
-// campaign runs — where bit-exactness against the sequential path is not
-// required; the integer counters merge exactly either way.
+// count (tests pin this).
 #pragma once
 
 #include <cstdint>
@@ -65,11 +62,6 @@ class CorpusStats {
   void absorb(const FlowStatsSample& sample);
   // Counts a quarantined flow (no metrics — the flow never completed).
   void absorb_quarantine();
-
-  // Chan's parallel merge. Integer counters combine exactly; floating-point
-  // moments combine to full precision but NOT bitwise-identically to a
-  // sequential absorb of the same flows.
-  void merge(const CorpusStats& other);
 
   // The §III headline block, computed from the accumulators alone. Bitwise
   // equal to Corpus::headline() when absorb() ran in entry order.

@@ -350,26 +350,9 @@ util::StatusOr<FaultPlan> read_fault_plan(std::istream& is) {
   return std::move(file.value().plan);
 }
 
-util::Status save_fault_plan(util::Fs& fs, const std::string& path,
-                             const FaultPlan& plan) {
-  // Atomic write through the seam, same contract as trace_io::save_flow_capture.
-  std::ostringstream content;
-  write_fault_plan(content, plan);
-  return util::write_file_atomic(fs, path, content.str());
-}
-
-util::Status save_fault_plan(const std::string& path, const FaultPlan& plan) {
-  return save_fault_plan(util::Fs::real(), path, plan);
-}
-
-util::StatusOr<FaultPlan> load_fault_plan(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return util::Status::not_found("cannot open: " + path);
-  return read_fault_plan(f);
-}
-
 util::Status save_plan_file(util::Fs& fs, const std::string& path,
                             const PlanFile& file) {
+  // Atomic write through the seam, same contract as trace_io::save_flow_capture.
   std::ostringstream content;
   write_plan_file(content, file);
   return util::write_file_atomic(fs, path, content.str());

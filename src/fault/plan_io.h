@@ -93,13 +93,10 @@ void write_plan_file(std::ostream& os, const PlanFile& file);
 [[nodiscard]] util::StatusOr<FaultPlan> read_fault_plan(std::istream& is);
 [[nodiscard]] util::StatusOr<PlanFile> read_plan_file(std::istream& is);
 
-// Convenience file wrappers. Saving is atomic (write to `<path>.tmp`, fsync,
-// then rename into place) through the util::Fs seam, matching
-// trace_io::save_flow_capture; the seamless overloads use util::Fs::real().
-[[nodiscard]] util::Status save_fault_plan(util::Fs& fs, const std::string& path,
-                                           const FaultPlan& plan);
-[[nodiscard]] util::Status save_fault_plan(const std::string& path, const FaultPlan& plan);
-[[nodiscard]] util::StatusOr<FaultPlan> load_fault_plan(const std::string& path);
+// File wrappers. Saving is atomic (write to `<path>.tmp`, fsync, then rename
+// into place) through the util::Fs seam, matching trace_io::save_flow_capture;
+// the seamless overload uses util::Fs::real(). A PlanFile without params is
+// written as v1, byte-identical to write_fault_plan.
 [[nodiscard]] util::Status save_plan_file(util::Fs& fs, const std::string& path,
                                           const PlanFile& file);
 [[nodiscard]] util::Status save_plan_file(const std::string& path, const PlanFile& file);

@@ -137,9 +137,6 @@ ChannelVerdict FunctionalChannel::decide(const Packet& p, TimePoint now) {
   return ChannelVerdict::deliver(delay_(p, now));
 }
 
-FlowDemuxChannel::FlowDemuxChannel(std::unique_ptr<ChannelModel> fallback)
-    : fallback_(std::move(fallback)) {}
-
 void FlowDemuxChannel::add_flow(FlowId flow, std::unique_ptr<ChannelModel> channel) {
   HSR_CHECK(channel != nullptr);
   HSR_CHECK_MSG(!has_flow(flow), "flow already routed in FlowDemuxChannel");
@@ -170,7 +167,6 @@ ChannelVerdict FlowDemuxChannel::decide(const Packet& p, TimePoint now) {
   if (pos != channels_.end() && pos->flow == p.flow) {
     return pos->channel->decide(p, now);
   }
-  if (fallback_ != nullptr) return fallback_->decide(p, now);
   return ChannelVerdict::deliver();
 }
 

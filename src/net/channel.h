@@ -253,12 +253,9 @@ class CompositeChannel final : public ChannelModel {
 // faults) on the air segment. Verdicts pass through UNTOUCHED — no component
 // index is prepended — so a demux carrying a single flow is bit-identical to
 // using that flow's channel directly (the run_flow N=1 adapter relies on
-// this). Packets of unregistered flows go to the fallback channel, or are
-// delivered cleanly when no fallback is set.
+// this). Packets of unregistered flows are delivered cleanly.
 class FlowDemuxChannel final : public ChannelModel {
  public:
-  explicit FlowDemuxChannel(std::unique_ptr<ChannelModel> fallback = nullptr);
-
   // Setup-time only (sorted registry, may reallocate). One channel per flow.
   void add_flow(FlowId flow, std::unique_ptr<ChannelModel> channel);
   bool has_flow(FlowId flow) const;
@@ -272,7 +269,6 @@ class FlowDemuxChannel final : public ChannelModel {
     std::unique_ptr<ChannelModel> channel;
   };
   std::vector<Route> channels_;  // sorted by flow id
-  std::unique_ptr<ChannelModel> fallback_;
 };
 
 // Adapts a pair of time-varying callables (drop probability, extra delay)

@@ -1,7 +1,5 @@
 #include "net/packet.h"
 
-#include <sstream>
-
 namespace hsr::net {
 
 namespace {
@@ -16,18 +14,5 @@ thread_local std::uint64_t next_packet_id = 1;
 std::uint64_t allocate_packet_id() { return next_packet_id++; }
 
 void reset_packet_ids() { next_packet_id = 1; }
-
-std::string Packet::describe() const {
-  std::ostringstream os;
-  os << (kind == PacketKind::kData ? "DATA" : "ACK") << " flow=" << flow;
-  if (kind == PacketKind::kData) {
-    os << " seq=" << seq;
-    if (is_retransmission) os << " retx#" << retx_count;
-  } else {
-    os << " ack_next=" << ack_next;
-  }
-  os << " id=" << id;
-  return os.str();
-}
 
 }  // namespace hsr::net

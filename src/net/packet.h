@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "util/time.h"
@@ -51,8 +50,6 @@ struct Packet {
   static constexpr std::size_t kMaxSackBlocks = 3;
   std::array<std::pair<SeqNo, SeqNo>, kMaxSackBlocks> sack{};
   std::uint8_t sack_count = 0;
-
-  std::string describe() const;
 };
 
 // Thread-local unique packet id source. Ids are only used as join keys when

@@ -387,15 +387,10 @@ util::Status decode_quarantine_payload(const std::string& payload, std::uint64_t
 }
 
 void append_frame(char type, std::string_view payload, std::uint64_t seq,
-                  int version, std::string& out) {
+                  std::string& out) {
   put_u8(out, static_cast<std::uint8_t>(type));
-  if (version == 1) {
-    put_u64le(out, payload.size());
-    out.append(payload);
-    return;
-  }
-  // v2: [type][crc32c][seq][size][payload]; the CRC covers everything after
-  // its own field, so a corrupted length cannot silently misframe the rest
+  // [type][crc32c][seq][size][payload]; the CRC covers everything after its
+  // own field, so a corrupted length cannot silently misframe the rest
   // of the file.
   const std::size_t crc_pos = out.size();
   put_u32le(out, 0);  // patched below
@@ -423,38 +418,35 @@ std::string hex32(std::uint32_t v) {
 
 }  // namespace
 
-void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count,
-                               int version) {
+void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count) {
   std::string header;
-  header.append(version == 1 ? kBinaryTraceMagicB1 : kBinaryTraceMagic,
-                kBinaryTraceMagicSize);
+  header.append(kBinaryTraceMagic, kBinaryTraceMagicSize);
   put_u64le(header, flow_count);
   os.write(header.data(), static_cast<std::streamsize>(header.size()));
 }
 
-void encode_flow_frame(const FlowCapture& capture, std::uint64_t seq,
-                       std::string& out, int version) {
+void encode_flow_frame(const FlowCapture& capture, std::uint64_t seq, std::string& out) {
   out.clear();
   std::string payload;
   encode_flow_payload(capture, payload);
   out.reserve(payload.size() + 21);
-  append_frame(kFlowFrame, payload, seq, version, out);
+  append_frame(kFlowFrame, payload, seq, out);
 }
 
 void encode_quarantine_frame(const QuarantineRecord& record, std::uint64_t seq,
-                             std::string& out, int version) {
+                             std::string& out) {
   out.clear();
   std::string payload;
   encode_quarantine_payload(record, payload);
   out.reserve(payload.size() + 21);
-  append_frame(kQuarantineFrame, payload, seq, version, out);
+  append_frame(kQuarantineFrame, payload, seq, out);
 }
 
 void encode_raw_frame(char type, std::string_view payload, std::uint64_t seq,
                       std::string& out) {
   out.clear();
   out.reserve(payload.size() + 21);
-  append_frame(type, payload, seq, kBinaryTraceVersion, out);
+  append_frame(type, payload, seq, out);
 }
 
 util::Status decode_quarantine_frame_payload(const std::string& payload,
@@ -462,31 +454,24 @@ util::Status decode_quarantine_frame_payload(const std::string& payload,
   return decode_quarantine_payload(payload, 0, *record);
 }
 
-void write_flow_frame(std::ostream& os, const FlowCapture& capture,
-                      std::uint64_t seq, int version) {
+void write_flow_frame(std::ostream& os, const FlowCapture& capture, std::uint64_t seq) {
   std::string frame;
-  encode_flow_frame(capture, seq, frame, version);
+  encode_flow_frame(capture, seq, frame);
   os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
 }
 
 void write_quarantine_frame(std::ostream& os, const QuarantineRecord& record,
-                            std::uint64_t seq, int version) {
+                            std::uint64_t seq) {
   std::string frame;
-  encode_quarantine_frame(record, seq, frame, version);
+  encode_quarantine_frame(record, seq, frame);
   os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
 }
 
 util::Status BinaryTraceReader::open() {
   char magic[kBinaryTraceMagicSize] = {};
   is_.read(magic, kBinaryTraceMagicSize);
-  if (is_.gcount() != static_cast<std::streamsize>(kBinaryTraceMagicSize)) {
-    return util::Status::invalid_argument("not an hsrtrace stream (bad magic)");
-  }
-  if (std::memcmp(magic, kBinaryTraceMagic, kBinaryTraceMagicSize) == 0) {
-    version_ = 2;
-  } else if (std::memcmp(magic, kBinaryTraceMagicB1, kBinaryTraceMagicSize) == 0) {
-    version_ = 1;
-  } else {
+  if (is_.gcount() != static_cast<std::streamsize>(kBinaryTraceMagicSize) ||
+      std::memcmp(magic, kBinaryTraceMagic, kBinaryTraceMagicSize) != 0) {
     return util::Status::invalid_argument("not an hsrtrace stream (bad magic)");
   }
   unsigned char count[8] = {};
@@ -506,12 +491,11 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   char type = 0;
   if (!is_.get(type)) return Frame::kEnd;
 
-  // v1: [size8]; v2: [crc4][seq8][size8]. Short header reads are a torn
-  // tail, exactly like a short payload read.
+  // [crc4][seq8][size8]. A short header read is a torn tail, exactly like a
+  // short payload read.
   unsigned char head[20] = {};
-  const std::size_t head_size = version_ == 1 ? 8 : 20;
-  is_.read(reinterpret_cast<char*>(head), static_cast<std::streamsize>(head_size));
-  if (is_.gcount() != static_cast<std::streamsize>(head_size)) {
+  is_.read(reinterpret_cast<char*>(head), static_cast<std::streamsize>(sizeof head));
+  if (is_.gcount() != static_cast<std::streamsize>(sizeof head)) {
     torn_ = true;
     return Frame::kTorn;
   }
@@ -519,10 +503,8 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   std::uint64_t stored_seq = 0;
   std::uint64_t payload_size = 0;
   const unsigned char* p = head;
-  if (version_ != 1) {
-    for (int i = 0; i < 4; ++i) stored_crc |= static_cast<std::uint32_t>(*p++) << (8 * i);
-    for (int i = 0; i < 8; ++i) stored_seq |= static_cast<std::uint64_t>(*p++) << (8 * i);
-  }
+  for (int i = 0; i < 4; ++i) stored_crc |= static_cast<std::uint32_t>(*p++) << (8 * i);
+  for (int i = 0; i < 8; ++i) stored_seq |= static_cast<std::uint64_t>(*p++) << (8 * i);
   for (int i = 0; i < 8; ++i) payload_size |= static_cast<std::uint64_t>(*p++) << (8 * i);
 
   const std::uint64_t frame_index = frames_read_++;
@@ -539,21 +521,18 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
     return Frame::kTorn;
   }
 
-  if (version_ != 1) {
-    std::uint32_t crc = util::crc32c(0, &type, 1);
-    crc = util::crc32c(crc, head + 4, 16);  // seq + size as read off the wire
-    crc = util::crc32c(crc, payload_.data(), payload_.size());
-    if (crc != stored_crc) {
-      return frame_error(frame_index, "crc32c mismatch (stored " +
-                                          hex32(stored_crc) + ", computed " +
-                                          hex32(crc) + ")");
-    }
-    if (stored_seq != frame_index) {
-      // A valid checksum with the wrong ordinal means frames were spliced,
-      // dropped or reordered — corruption the CRC alone cannot see.
-      return frame_error(frame_index, "sequence mismatch (frame carries seq " +
-                                          std::to_string(stored_seq) + ")");
-    }
+  std::uint32_t crc = util::crc32c(0, &type, 1);
+  crc = util::crc32c(crc, head + 4, 16);  // seq + size as read off the wire
+  crc = util::crc32c(crc, payload_.data(), payload_.size());
+  if (crc != stored_crc) {
+    return frame_error(frame_index, "crc32c mismatch (stored " + hex32(stored_crc) +
+                                        ", computed " + hex32(crc) + ")");
+  }
+  if (stored_seq != frame_index) {
+    // A valid checksum with the wrong ordinal means frames were spliced,
+    // dropped or reordered — corruption the CRC alone cannot see.
+    return frame_error(frame_index, "sequence mismatch (frame carries seq " +
+                                        std::to_string(stored_seq) + ")");
   }
   type_ = type;
   return Frame::kOther;  // a complete, verified frame is in type_/payload_
@@ -653,19 +632,6 @@ util::Status save_capture_archive(const std::string& path,
   return save_capture_archive(util::Fs::real(), path, captures);
 }
 
-util::Status save_flow_capture_binary(util::Fs& fs, const std::string& path,
-                                      const FlowCapture& capture) {
-  std::ostringstream content;
-  write_binary_trace_header(content, 1);
-  write_flow_frame(content, capture, 0);
-  return util::write_file_atomic(fs, path, content.str());
-}
-
-util::Status save_flow_capture_binary(const std::string& path,
-                                      const FlowCapture& capture) {
-  return save_flow_capture_binary(util::Fs::real(), path, capture);
-}
-
 util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return util::Status::not_found("cannot open: " + path);
@@ -675,7 +641,7 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
     auto capture = read_flow_capture(f);
     if (!capture.is_ok()) return capture.status();
     TraceVerifyReport report;
-    report.version = 0;
+    report.text = true;
     report.flows = 1;
     report.intact = true;
     return report;
@@ -686,7 +652,6 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
   if (!status.is_ok()) return status;
 
   TraceVerifyReport report;
-  report.version = reader.version();
   report.declared_flow_count = reader.declared_flow_count();
   char type = 0;
   std::string payload;
@@ -697,8 +662,7 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
     switch (frame.value()) {
       case BinaryTraceReader::Frame::kFlow: {
         // Raw integrity passed; decode the columns too, so a corrupt
-        // payload that happens to carry a stale CRC cannot hide (and v1
-        // frames, which have no CRC, get their only deep check here).
+        // payload that happens to carry a stale CRC cannot hide.
         FlowCapture flow;
         status = decode_flow_payload(payload, reader.frames_read() - 1, flow);
         if (!status.is_ok()) return status;
@@ -730,10 +694,6 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
                   (report.declared_flow_count == kUnknownFlowCount ||
                    report.flows == report.declared_flow_count);
   return report;
-}
-
-util::StatusOr<FlowCapture> load_flow_capture_binary(const std::string& path) {
-  return load_flow_capture_any(path, 0);
 }
 
 bool sniff_binary_trace(std::istream& is) {

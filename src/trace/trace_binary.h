@@ -2,17 +2,19 @@
 //
 // The text format (trace_io.h, "hsrtrace-v2") spends ~55 bytes per
 // transmission on human-readable decimal; at the 10^5-10^6-flow campaign
-// scale that text I/O — not the simulator — becomes the wall. hsrtrace-b1
+// scale that text I/O — not the simulator — becomes the wall. hsrtrace-b2
 // stores the same records as per-direction structure-of-arrays columns
 // (ids, seqs, ack_next, sizes, retransmission counts, send times, fate
 // tags, transit times, DropCause path codes), each column delta- and
 // varint-coded — and the near-constant columns (sizes, retransmission
 // counts, fate tags) run-length coded on top — which makes archives several
-// times smaller and much faster to write and read. The two formats are losslessly interconvertible: the
-// binary reader rebuilds the exact FlowCapture the text writer would
-// serialize, byte for byte (pinned by tests and `trace_query convert`).
+// times smaller and much faster to write and read. The two formats are
+// losslessly interconvertible: the binary reader rebuilds the exact
+// FlowCapture the text writer would serialize, byte for byte (pinned by
+// tests and `trace_query convert`).
 //
-// File layout (v2, the current write format):
+// hsrtrace-b2 is the only binary format; there is one writer and one
+// reader. File layout:
 //   header   12-byte magic "hsrtrace-b2\n", then u64 LE flow-frame count
 //            (kUnknownFlowCount while a stream is still being appended to;
 //            the merge step of the chunked corpus writer knows the real count)
@@ -22,8 +24,7 @@
 // counts) and the CRC-32C covers everything after the crc field — type,
 // seq, size and payload — so corruption anywhere in a frame, including its
 // length, is detected and NAMED (frame index + reason) instead of silently
-// cascading. v1 files ("hsrtrace-b1\n", frames { u8 type, u64 LE size,
-// payload } with no checksum) remain fully readable.
+// cascading.
 // Frame types:
 //   'F' one flow capture (columnar payload, see trace_binary.cpp)
 //   'Q' one quarantine record: a flow that failed during generation, with
@@ -50,10 +51,8 @@ namespace hsr::trace {
 
 // 12 bytes on the wire (trailing NUL excluded).
 inline constexpr char kBinaryTraceMagic[] = "hsrtrace-b2\n";
-inline constexpr char kBinaryTraceMagicB1[] = "hsrtrace-b1\n";  // read-only legacy
 inline constexpr std::size_t kBinaryTraceMagicSize = 12;
 inline constexpr std::uint64_t kUnknownFlowCount = ~std::uint64_t{0};
-inline constexpr int kBinaryTraceVersion = 2;
 
 // A flow that was planned but never made it into the corpus: generation
 // failed (exception, watchdog) and the campaign quarantined it. Archived in
@@ -69,25 +68,19 @@ struct QuarantineRecord {
   std::string uplink_plan;
 };
 
-// `version` selects the on-disk format; writers emit v2 unless a test or
-// conversion explicitly asks for legacy v1 output.
-void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count,
-                               int version = kBinaryTraceVersion);
-// `seq` is the frame's 0-based ordinal in the destination file (v1 ignores
-// it — the field does not exist on the wire there).
-void write_flow_frame(std::ostream& os, const FlowCapture& capture,
-                      std::uint64_t seq, int version = kBinaryTraceVersion);
+void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count);
+// `seq` is the frame's 0-based ordinal in the destination file.
+void write_flow_frame(std::ostream& os, const FlowCapture& capture, std::uint64_t seq);
 void write_quarantine_frame(std::ostream& os, const QuarantineRecord& record,
-                            std::uint64_t seq, int version = kBinaryTraceVersion);
+                            std::uint64_t seq);
 
 // Encodes one frame (header + payload) into `out`, replacing its contents.
 // Exposed so the chunked corpus writer can append pre-encoded frames and
 // the merge step can re-stamp sequence numbers without re-encoding columns.
-void encode_flow_frame(const FlowCapture& capture, std::uint64_t seq,
-                       std::string& out, int version = kBinaryTraceVersion);
+void encode_flow_frame(const FlowCapture& capture, std::uint64_t seq, std::string& out);
 void encode_quarantine_frame(const QuarantineRecord& record, std::uint64_t seq,
-                             std::string& out, int version = kBinaryTraceVersion);
-// v2 frame of an arbitrary type around an opaque payload (sidecar records).
+                             std::string& out);
+// A frame of an arbitrary type around an opaque payload (sidecar records).
 void encode_raw_frame(char type, std::string_view payload, std::uint64_t seq,
                       std::string& out);
 
@@ -102,11 +95,9 @@ class BinaryTraceReader {
  public:
   explicit BinaryTraceReader(std::istream& is) : is_(is) {}
 
-  // Validates the magic (either version) and reads the declared flow count.
+  // Validates the magic and reads the declared flow count.
   [[nodiscard]] util::Status open();
   std::uint64_t declared_flow_count() const { return declared_flow_count_; }
-  // 1 or 2 once open() succeeded.
-  int version() const { return version_; }
 
   enum class Frame {
     kFlow,        // *flow was filled
@@ -115,7 +106,7 @@ class BinaryTraceReader {
     kEnd,         // clean end of stream
     kTorn,        // truncated trailing frame, dropped (terminal)
   };
-  // Reads the next frame. Corruption inside a complete frame — a bad v2
+  // Reads the next frame. Corruption inside a complete frame — a bad
   // CRC, an out-of-order sequence number, an implausible length, a payload
   // that fails to decode — is an error naming the frame's index; a frame
   // cut short by EOF is kTorn, after which only kTorn is returned again.
@@ -136,7 +127,6 @@ class BinaryTraceReader {
 
   std::istream& is_;
   std::uint64_t declared_flow_count_ = kUnknownFlowCount;
-  int version_ = kBinaryTraceVersion;
   std::uint64_t frames_read_ = 0;
   std::uint64_t flows_read_ = 0;
   bool torn_ = false;
@@ -155,13 +145,13 @@ struct BinaryCorpus {
 [[nodiscard]] util::StatusOr<BinaryCorpus> read_binary_corpus(std::istream& is);
 
 // Integrity check of a whole archive without materializing it: every frame
-// header and payload is decoded and, for v2, CRC- and sequence-verified.
+// header and payload is CRC- and sequence-verified, then decoded.
 // The first bad frame fails the scan with its index and reason in the
 // Status. A torn tail or a flow count short of the declared header count is
 // NOT an error here — it is reported, so callers can distinguish "cleanly
 // truncated" from "corrupt".
 struct TraceVerifyReport {
-  int version = kBinaryTraceVersion;
+  bool text = false;  // a text archive: fully parsed, no frames to check
   std::uint64_t frames = 0;  // complete, verified frames (all types)
   std::uint64_t flows = 0;
   std::uint64_t quarantines = 0;
@@ -179,22 +169,16 @@ struct TraceVerifyReport {
 // scenario's N per-flow captures travel in ONE file; a sweep concatenates
 // several scenarios' captures, each scenario starting at a capture with
 // flow id 1 (the reader-side grouping key — see tools/fairness_sweep).
+// Saving is atomic (write to `<path>.tmp`, fsync, then rename) through the
+// util::Fs seam, matching save_flow_capture; a single capture is saved as a
+// one-element archive.
 void write_capture_archive(std::ostream& os, const std::vector<FlowCapture>& captures);
 [[nodiscard]] util::Status save_capture_archive(util::Fs& fs, const std::string& path,
                                                 const std::vector<FlowCapture>& captures);
 [[nodiscard]] util::Status save_capture_archive(const std::string& path,
                                                 const std::vector<FlowCapture>& captures);
 
-// Single-capture file wrappers (header + one flow frame). Saving is atomic
-// (write to `<path>.tmp`, fsync, then rename) through the util::Fs seam,
-// matching save_flow_capture.
-[[nodiscard]] util::Status save_flow_capture_binary(util::Fs& fs, const std::string& path,
-                                                    const FlowCapture& capture);
-[[nodiscard]] util::Status save_flow_capture_binary(const std::string& path,
-                                                    const FlowCapture& capture);
-[[nodiscard]] util::StatusOr<FlowCapture> load_flow_capture_binary(const std::string& path);
-
-// Returns true when the stream starts with an hsrtrace-b1 or -b2 magic (the
+// Returns true when the stream starts with the hsrtrace-b2 magic (the
 // stream is rewound either way). Lets tools accept binary and text archives
 // from one code path.
 bool sniff_binary_trace(std::istream& is);

@@ -1,44 +1,9 @@
-// Minimal leveled logging plus CHECK macros.
-//
-// The simulator is single-threaded by design (one engine per experiment;
-// experiments parallelize across processes), so the logger keeps no locks.
+// Invariant CHECK macros: HSR_CHECK always, HSR_DCHECK in debug and
+// sanitizer builds.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
-#include <string>
-
-namespace hsr::util {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-// Global threshold; messages below it are discarded. Default: kWarn, so
-// library code stays quiet inside tests and benches unless asked.
-LogLevel log_threshold();
-void set_log_threshold(LogLevel level);
-
-namespace internal {
-class LogLine {
- public:
-  LogLine(LogLevel level, const char* file, int line);
-  ~LogLine();
-  template <typename T>
-  LogLine& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
-    return *this;
-  }
-
- private:
-  bool enabled_;
-  std::ostringstream stream_;
-};
-}  // namespace internal
-
-}  // namespace hsr::util
-
-#define HSR_LOG(level) \
-  ::hsr::util::internal::LogLine(::hsr::util::LogLevel::level, __FILE__, __LINE__)
 
 // Invariant check: aborts with a message when violated. Used for programming
 // errors (broken invariants), not for recoverable conditions.

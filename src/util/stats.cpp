@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
-
-#include "util/logging.h"
 
 namespace hsr::util {
 
@@ -20,23 +17,6 @@ void RunningStats::add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const {
@@ -102,52 +82,8 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(std::size_t max_point
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), bucket_width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  // HSR_CHECK (not assert): a zero-bucket or inverted-range histogram would
-  // index out of bounds on the first add(), in release builds too.
-  HSR_CHECK_MSG(hi > lo, "histogram range inverted or empty");
-  HSR_CHECK_MSG(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / bucket_width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  return lo_ + bucket_width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_high(std::size_t bucket) const {
-  return lo_ + bucket_width_ * static_cast<double>(bucket + 1);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  const std::size_t peak = *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bars =
-        peak == 0 ? 0 : counts_[i] * width / peak;
-    os << "[" << bucket_low(i) << ", " << bucket_high(i) << ") "
-       << std::string(bars, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
-}
-
 double pearson_correlation(const std::vector<double>& xs, const std::vector<double>& ys) {
   if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double n = static_cast<double>(xs.size());
   const double mx = mean_of(xs);
   const double my = mean_of(ys);
   double sxy = 0.0, sxx = 0.0, syy = 0.0;
@@ -158,7 +94,6 @@ double pearson_correlation(const std::vector<double>& xs, const std::vector<doub
     sxx += dx * dx;
     syy += dy * dy;
   }
-  (void)n;
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
 }

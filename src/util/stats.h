@@ -1,19 +1,21 @@
 // Streaming and batch statistics used by the measurement methodology:
-// running moments (Welford), empirical CDFs, percentiles, histograms and
-// Pearson correlation.
+// running moments (Welford), empirical CDFs, percentiles, Pearson
+// correlation and least-squares fits.
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace hsr::util {
 
-// Numerically stable running mean/variance (Welford's algorithm).
+// Numerically stable running mean/variance (Welford's algorithm). There is
+// deliberately no merge: combining partial moments (Chan's method) is not
+// bitwise equal to one ordered add sequence, and every consumer absorbs in
+// flow order for byte-identical digests.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   bool empty() const { return n_ == 0; }
@@ -77,29 +79,6 @@ class EmpiricalCdf {
  private:
   std::vector<double> samples_;
   bool sorted_ = true;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples land in
-// saturating edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const { return total_; }
-  double bucket_low(std::size_t bucket) const;
-  double bucket_high(std::size_t bucket) const;
-  // Renders a terminal bar chart (for bench/report binaries).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucket_width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 // Pearson correlation coefficient of two equal-length series.

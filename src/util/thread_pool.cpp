@@ -14,7 +14,7 @@ ThreadPool::ThreadPool(unsigned threads) {
   const unsigned total = resolve_thread_count(threads);
   workers_.reserve(total - 1);
   for (unsigned i = 1; i < total; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -27,10 +27,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(unsigned worker_id) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(unsigned, std::uint64_t)>* fn = nullptr;
+    const std::function<void(std::uint64_t)>* fn = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       start_cv_.wait(lock, [&] {
@@ -40,7 +40,7 @@ void ThreadPool::worker_loop(unsigned worker_id) {
       seen_generation = job_generation_;
       fn = job_fn_;
     }
-    run_indices(worker_id, *fn);
+    run_indices(*fn);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       --workers_running_;
@@ -49,13 +49,12 @@ void ThreadPool::worker_loop(unsigned worker_id) {
   }
 }
 
-void ThreadPool::run_indices(unsigned worker_id,
-                             const std::function<void(unsigned, std::uint64_t)>& fn) {
+void ThreadPool::run_indices(const std::function<void(std::uint64_t)>& fn) {
   for (;;) {
     const std::uint64_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
     if (i >= job_n_) return;
     try {
-      fn(worker_id, i);
+      fn(i);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mu_);
       if (!first_error_) first_error_ = std::current_exception();
@@ -68,16 +67,11 @@ void ThreadPool::run_indices(unsigned worker_id,
 
 void ThreadPool::parallel_for(std::uint64_t n,
                               const std::function<void(std::uint64_t)>& fn) {
-  parallel_for_worker(n, [&fn](unsigned /*worker*/, std::uint64_t i) { fn(i); });
-}
-
-void ThreadPool::parallel_for_worker(
-    std::uint64_t n, const std::function<void(unsigned, std::uint64_t)>& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
     // Sequential path: identical to the pre-pool code, exception semantics
     // included (a throw propagates from the failing index directly).
-    for (std::uint64_t i = 0; i < n; ++i) fn(0, i);
+    for (std::uint64_t i = 0; i < n; ++i) fn(i);
     return;
   }
   {
@@ -91,7 +85,7 @@ void ThreadPool::parallel_for_worker(
     ++job_generation_;
   }
   start_cv_.notify_all();
-  run_indices(0, fn);  // the calling thread works too, as worker 0
+  run_indices(fn);  // the calling thread works too
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return workers_running_ == 0; });
   if (first_error_) {

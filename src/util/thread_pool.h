@@ -47,27 +47,16 @@ class ThreadPool {
   // Not reentrant: `fn` must not call back into the same pool.
   void parallel_for(std::uint64_t n, const std::function<void(std::uint64_t)>& fn);
 
-  // Like parallel_for, but each call also receives the identity of the
-  // thread running it: 0 for the calling thread, 1..thread_count()-1 for
-  // spawned workers. The identity is stable for the life of the pool, which
-  // lets callers keep per-worker state (spill shards, scratch arenas) with
-  // no locking: a given worker id is never active on two threads at once.
-  // Because indices are claimed from one shared counter, the indices seen by
-  // any single worker are strictly increasing.
-  void parallel_for_worker(
-      std::uint64_t n, const std::function<void(unsigned, std::uint64_t)>& fn);
-
  private:
-  void worker_loop(unsigned worker_id);
+  void worker_loop();
   // Claims indices of the current job until exhausted (or failed).
-  void run_indices(unsigned worker_id,
-                   const std::function<void(unsigned, std::uint64_t)>& fn);
+  void run_indices(const std::function<void(std::uint64_t)>& fn);
 
   std::mutex mu_;
   std::condition_variable start_cv_;  // a new job was published
   std::condition_variable done_cv_;   // all workers finished the job
   std::uint64_t job_generation_ = 0;  // bumped per published job
-  const std::function<void(unsigned, std::uint64_t)>* job_fn_ = nullptr;
+  const std::function<void(std::uint64_t)>* job_fn_ = nullptr;
   std::uint64_t job_n_ = 0;
   std::atomic<std::uint64_t> next_index_{0};
   unsigned workers_running_ = 0;

@@ -112,17 +112,18 @@ TEST(FaultPlanIoTest, FileSaveLoadRoundTripLeavesNoTempFile) {
   const std::string path = testing::TempDir() + "/hsr_plan_test.txt";
   std::remove(path.c_str());
   const FaultPlan plan = every_builder_directive();
-  ASSERT_TRUE(save_fault_plan(path, plan).is_ok());
+  ASSERT_TRUE(save_plan_file(path, PlanFile{plan, std::nullopt}).is_ok());
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
-  auto loaded = load_fault_plan(path);
+  auto loaded = load_plan_file(path);
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().message();
-  EXPECT_EQ(loaded.value(), plan);
+  EXPECT_EQ(loaded.value().plan, plan);
+  EXPECT_FALSE(loaded.value().params.has_value());
   std::remove(path.c_str());
 }
 
 TEST(FaultPlanIoTest, MissingFileIsNotFound) {
-  auto loaded = load_fault_plan("/nonexistent/dir/plan.txt");
+  auto loaded = load_plan_file("/nonexistent/dir/plan.txt");
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kNotFound);
 }

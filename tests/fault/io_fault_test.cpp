@@ -202,9 +202,13 @@ TEST_P(SeamWriterSurvivalTest, PreexistingFilesSurviveEveryFailedSave) {
       {tag + "capture.txt",
        [&](util::Fs& f) { return trace::save_flow_capture(f, tag + "capture.txt", capture); }},
       {tag + "capture.hsrb",
-       [&](util::Fs& f) { return trace::save_flow_capture_binary(f, tag + "capture.hsrb", capture); }},
+       [&](util::Fs& f) {
+         return trace::save_capture_archive(f, tag + "capture.hsrb", {capture});
+       }},
       {tag + "plan.txt",
-       [&](util::Fs& f) { return save_fault_plan(f, tag + "plan.txt", fault_plan); }},
+       [&](util::Fs& f) {
+         return save_plan_file(f, tag + "plan.txt", PlanFile{fault_plan, std::nullopt});
+       }},
       {tag + "stats.txt",
        [&](util::Fs& f) { return analysis::save_corpus_stats(f, tag + "stats.txt", stats); }},
   };

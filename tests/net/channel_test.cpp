@@ -323,16 +323,10 @@ TEST(FlowDemuxChannelTest, VerdictsPassThroughUntouched) {
   EXPECT_FALSE(v.cause.has_component());
 }
 
-TEST(FlowDemuxChannelTest, UnroutedFlowsUseFallbackThenCleanDelivery) {
-  FlowDemuxChannel with_fallback(
-      std::make_unique<BernoulliChannel>(1.0, util::Rng(3)));
-  with_fallback.add_flow(1, std::make_unique<PerfectChannel>());
-  EXPECT_FALSE(with_fallback.decide(flow_packet(1), TimePoint::zero()).dropped);
-  EXPECT_TRUE(with_fallback.decide(flow_packet(5), TimePoint::zero()).dropped);
-
-  FlowDemuxChannel bare;
-  bare.add_flow(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(3)));
-  const ChannelVerdict v = bare.decide(flow_packet(5), TimePoint::zero());
+TEST(FlowDemuxChannelTest, UnroutedFlowsGetCleanDelivery) {
+  FlowDemuxChannel demux;
+  demux.add_flow(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(3)));
+  const ChannelVerdict v = demux.decide(flow_packet(5), TimePoint::zero());
   EXPECT_FALSE(v.dropped);
   EXPECT_EQ(v.extra_delay, Duration::zero());
 }

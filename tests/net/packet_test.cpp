@@ -5,37 +5,6 @@
 namespace hsr::net {
 namespace {
 
-TEST(PacketTest, DescribeData) {
-  Packet p;
-  p.id = 7;
-  p.flow = 3;
-  p.kind = PacketKind::kData;
-  p.seq = 11;
-  const std::string s = p.describe();
-  EXPECT_NE(s.find("DATA"), std::string::npos);
-  EXPECT_NE(s.find("seq=11"), std::string::npos);
-  EXPECT_NE(s.find("flow=3"), std::string::npos);
-  EXPECT_EQ(s.find("retx"), std::string::npos);
-}
-
-TEST(PacketTest, DescribeRetransmission) {
-  Packet p;
-  p.kind = PacketKind::kData;
-  p.seq = 4;
-  p.is_retransmission = true;
-  p.retx_count = 2;
-  EXPECT_NE(p.describe().find("retx#2"), std::string::npos);
-}
-
-TEST(PacketTest, DescribeAck) {
-  Packet p;
-  p.kind = PacketKind::kAck;
-  p.ack_next = 99;
-  const std::string s = p.describe();
-  EXPECT_NE(s.find("ACK"), std::string::npos);
-  EXPECT_NE(s.find("ack_next=99"), std::string::npos);
-}
-
 TEST(PacketTest, AllocateIdsAreUniqueAndIncreasing) {
   const std::uint64_t a = allocate_packet_id();
   const std::uint64_t b = allocate_packet_id();

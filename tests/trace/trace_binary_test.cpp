@@ -1,8 +1,9 @@
-// hsrtrace-b2: the binary columnar reader must rebuild the exact
-// FlowCapture the text writer serializes (lossless interconversion), keep
-// everything before a torn final frame, refuse corruption with a frame
-// index and a named reason (CRC / sequence / payload), skip unknown frame
-// types, and still read legacy hsrtrace-b1 archives.
+// hsrtrace-b2, the only binary trace format: the columnar reader must
+// rebuild the exact FlowCapture the text writer serializes (lossless
+// interconversion), keep everything before a torn final frame, refuse
+// corruption with a frame index and a named reason (CRC / sequence /
+// payload), skip unknown frame types, and reject the retired hsrtrace-b1
+// magic by name.
 #include "trace/trace_binary.h"
 
 #include <gtest/gtest.h>
@@ -201,25 +202,24 @@ TEST(TraceBinaryTest, OutOfOrderSequenceNumberIsAnError) {
       << corpus.status().to_string();
 }
 
-TEST(TraceBinaryTest, LegacyB1ArchivesRemainReadable) {
-  const FlowCapture cap = sample_capture();
-  std::ostringstream os;
-  write_binary_trace_header(os, 1, /*version=*/1);
-  write_flow_frame(os, cap, /*seq=*/0, /*version=*/1);
-  const std::string bytes = os.str();
-  EXPECT_EQ(bytes.substr(0, kBinaryTraceMagicSize),
-            std::string(kBinaryTraceMagicB1, kBinaryTraceMagicSize));
-
-  std::istringstream in(bytes);
-  BinaryTraceReader reader(in);
-  ASSERT_TRUE(reader.open().is_ok());
-  EXPECT_EQ(reader.version(), 1);
-  FlowCapture flow;
-  QuarantineRecord quarantine;
-  const auto frame = reader.next(&flow, &quarantine);
-  ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
-  ASSERT_EQ(frame.value(), BinaryTraceReader::Frame::kFlow);
-  EXPECT_EQ(text_of(flow), text_of(cap));
+TEST(TraceBinaryTest, RetiredB1ArchivesAreRejectedByName) {
+  // An empty hsrtrace-b1 archive: the retired magic plus a zero flow count.
+  // It does not sniff as binary, so every file-level reader must refuse it
+  // with a Status that names the magic.
+  const std::string path = "trace_binary_test_retired_b1.bin";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "hsrtrace-b1\n" << std::string(8, '\0');
+  }
+  const auto verified = verify_trace_file(path);
+  ASSERT_FALSE(verified.is_ok());
+  EXPECT_NE(verified.status().message().find("hsrtrace-b1"), std::string::npos)
+      << verified.status().to_string();
+  const auto loaded = load_flow_capture_any(path);
+  ASSERT_FALSE(loaded.is_ok());
+  EXPECT_NE(loaded.status().message().find("hsrtrace-b1"), std::string::npos)
+      << loaded.status().to_string();
+  std::remove(path.c_str());
 }
 
 TEST(TraceBinaryTest, BadMagicIsInvalidArgument) {
@@ -279,7 +279,7 @@ TEST(TraceBinaryTest, LoadFlowCaptureAnyReadsBothFormats) {
   const std::string text_path = "trace_binary_test_any.txt";
   const std::string bin_path = "trace_binary_test_any.bin";
   ASSERT_TRUE(save_flow_capture(text_path, cap).is_ok());
-  ASSERT_TRUE(save_flow_capture_binary(bin_path, cap).is_ok());
+  ASSERT_TRUE(save_capture_archive(bin_path, {cap}).is_ok());
 
   const auto from_text = load_flow_capture_any(text_path);
   ASSERT_TRUE(from_text.is_ok()) << from_text.status().to_string();

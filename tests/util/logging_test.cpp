@@ -5,32 +5,6 @@
 namespace hsr::util {
 namespace {
 
-TEST(LoggingTest, ThresholdRoundTrip) {
-  const LogLevel before = log_threshold();
-  set_log_threshold(LogLevel::kError);
-  EXPECT_EQ(log_threshold(), LogLevel::kError);
-  set_log_threshold(before);
-}
-
-TEST(LoggingTest, SuppressedLevelsDoNotCrash) {
-  const LogLevel before = log_threshold();
-  set_log_threshold(LogLevel::kOff);
-  HSR_LOG(kDebug) << "invisible " << 1;
-  HSR_LOG(kError) << "also invisible " << 2.5;
-  set_log_threshold(before);
-}
-
-TEST(LoggingTest, EnabledLevelsDoNotCrash) {
-  const LogLevel before = log_threshold();
-  set_log_threshold(LogLevel::kDebug);
-  testing::internal::CaptureStderr();
-  HSR_LOG(kInfo) << "hello " << 42;
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("hello 42"), std::string::npos);
-  EXPECT_NE(err.find("INFO"), std::string::npos);
-  set_log_threshold(before);
-}
-
 TEST(CheckTest, PassingCheckIsSilent) {
   HSR_CHECK(1 + 1 == 2);
   HSR_CHECK_MSG(true, "never shown");

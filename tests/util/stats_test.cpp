@@ -41,32 +41,6 @@ TEST(RunningStatsTest, SingleSampleVarianceZero) {
   EXPECT_DOUBLE_EQ(s.mean(), 42.0);
 }
 
-TEST(RunningStatsTest, MergeEqualsCombinedStream) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10;
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
-
 TEST(EmpiricalCdfTest, EmptyQueries) {
   EmpiricalCdf cdf;
   EXPECT_TRUE(cdf.empty());
@@ -109,28 +83,6 @@ TEST(EmpiricalCdfTest, CurveIsMonotone) {
     EXPECT_LE(curve[i - 1].second, curve[i].second);
   }
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-}
-
-TEST(HistogramTest, BucketsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.99);  // bucket 4
-  h.add(-3.0);  // clamps to bucket 0
-  h.add(15.0);  // clamps to bucket 4
-  h.add(5.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(1), 4.0);
-}
-
-TEST(HistogramTest, RenderProducesOneLinePerBucket) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  const std::string out = h.render(10);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
 }
 
 TEST(CorrelationTest, PerfectPositiveAndNegative) {

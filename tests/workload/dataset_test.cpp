@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -235,7 +236,8 @@ TEST(GenerateDatasetTest, FaultedCaptureByteIdenticalAcrossThreadCounts) {
 
 TEST(GenerateDatasetTest, EveryLostTransmissionCarriesANonUnknownCause) {
   DatasetSpec spec = degradation_spec();
-  std::uint64_t attributed = 0;
+  // observe_flow runs on the pool's worker threads.
+  std::atomic<std::uint64_t> attributed{0};
   spec.observe_flow = [&attributed](std::uint64_t, const FlowRunResult& run) {
     const util::TimePoint tail =
         util::TimePoint::zero() + run.duration - util::Duration::seconds(1);
@@ -257,7 +259,7 @@ TEST(GenerateDatasetTest, EveryLostTransmissionCarriesANonUnknownCause) {
   const DatasetResult ds = generate_dataset(spec);
   EXPECT_TRUE(ds.complete());
   // High-speed rail profiles lose plenty of packets: the check above ran.
-  EXPECT_GT(attributed, 0u);
+  EXPECT_GT(attributed.load(), 0u);
 }
 
 TEST(GenerateDatasetTest, QuarantinedFlowsCarryTheirFaultPlans) {

@@ -3,14 +3,14 @@
 // Answers the questions the paper's workflow answered with wireshark filters,
 // from a capture file alone (no live simulator state). Trace arguments accept
 // BOTH formats transparently: text archives ("hsrtrace-v2"/"-v1") and binary
-// corpora ("hsrtrace-b2"/"-b1"); multi-flow corpora are addressed with --flow N.
+// corpora ("hsrtrace-b2"); multi-flow corpora are addressed with --flow N.
 //   summary <trace> [--flow N]   counts, loss rates, fault totals
 //   why <trace> <packet-id> [--flow N]  the fate of one packet, cause-coded
 //   losses <trace> [--flow N]    per-cause loss breakdown, data vs ACK
 //   ratios <trace> [--flow N]    headline ratios: q-hat, ACK-burst-loss
 //                                rounds, spurious fraction
 //   ls <trace>                   one line per flow / quarantine record
-//   verify <trace>               integrity scan: every frame decoded and (b2)
+//   verify <trace>               integrity scan: every frame decoded and
 //                                CRC- and sequence-checked; the first bad
 //                                frame is NAMED and the exit status raised
 //   convert <in> <out> --to-binary|--to-text [--flow N]
@@ -30,6 +30,8 @@
 // block replay over THEIR archived link/TCP topology (downlink plan's block
 // wins if both carry one); parameterless v1 plans fall back to the fixed
 // EXPERIMENTS.md recipe config (10 Mbit/s, 20 ms one-way).
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -72,14 +74,15 @@ int usage() {
          "  convert <in> <out> --to-binary|--to-text [--flow N]\n"
          "  replay [--down-plan F] [--up-plan F] [--duration S] [--save F]\n"
          "  selftest                    end-to-end smoke test\n"
-         "trace files may be text (hsrtrace-v2/v1) or binary (hsrtrace-b2/b1).\n";
+         "trace files may be text (hsrtrace-v2/v1) or binary (hsrtrace-b2).\n";
   return 2;
 }
 
-// Reads flow `nth` from a trace in either format (text archives hold one).
-hsr::util::StatusOr<hsr::trace::FlowCapture> load(const std::string& path,
-                                                  std::uint64_t nth = 0) {
-  return hsr::trace::load_flow_capture_any(path, nth);
+// Parses all of `text` as a finite number of seconds greater than zero.
+bool parse_seconds(const char* text, double& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && std::isfinite(out) && out > 0.0;
 }
 
 // --- summary -----------------------------------------------------------------
@@ -268,10 +271,10 @@ int run_verify(const std::string& path, std::ostream& os) {
     return 1;
   }
   const auto& r = report.value();
-  if (r.version == 0) {
+  if (r.text) {
     os << "text archive: 1 flow\n";
   } else {
-    os << "hsrtrace-b" << r.version << ": " << r.frames << " frames, " << r.flows
+    os << "hsrtrace-b2: " << r.frames << " frames, " << r.flows
        << " flows, " << r.quarantines << " quarantined, " << r.other_frames
        << " other\n";
     if (r.declared_flow_count != hsr::trace::kUnknownFlowCount) {
@@ -287,13 +290,13 @@ int run_verify(const std::string& path, std::ostream& os) {
 
 int run_convert(const std::string& in_path, const std::string& out_path,
                 bool to_binary, std::uint64_t nth, std::ostream& os) {
-  const auto cap = load(in_path, nth);
+  const auto cap = hsr::trace::load_flow_capture_any(in_path, nth);
   if (!cap.is_ok()) {
     std::cerr << cap.status().to_string() << '\n';
     return 1;
   }
   const auto saved = to_binary
-                         ? hsr::trace::save_flow_capture_binary(out_path, cap.value())
+                         ? hsr::trace::save_capture_archive(out_path, {cap.value()})
                          : hsr::trace::save_flow_capture(out_path, cap.value());
   if (!saved.is_ok()) {
     std::cerr << saved.to_string() << '\n';
@@ -532,7 +535,7 @@ int run_selftest() {
     }
   }
 
-  // v2 integrity: flipping one payload byte must be detected, named, and
+  // Frame integrity: flipping one payload byte must be detected, named, and
   // attributed to the right frame — not silently decoded.
   {
     std::string corrupt = bin.str();
@@ -542,26 +545,7 @@ int run_selftest() {
     if (bad.is_ok() ||
         bad.status().message().find("crc32c mismatch") == std::string::npos ||
         bad.status().message().find("frame 0") == std::string::npos) {
-      std::cerr << "selftest: corrupted v2 frame not named\n";
-      return 1;
-    }
-  }
-
-  // Legacy b1 archives must stay readable, losslessly.
-  {
-    std::ostringstream b1;
-    hsr::trace::write_binary_trace_header(b1, 1, 1);
-    hsr::trace::write_flow_frame(b1, cap, 0, 1);
-    std::istringstream b1_in(b1.str());
-    const auto legacy = hsr::trace::read_binary_corpus(b1_in);
-    if (!legacy.is_ok() || legacy.value().flows.size() != 1) {
-      std::cerr << "selftest: hsrtrace-b1 archive no longer readable\n";
-      return 1;
-    }
-    std::ostringstream text_of_b1;
-    hsr::trace::write_flow_capture(text_of_b1, legacy.value().flows[0]);
-    if (text_of_b1.str() != sa.str()) {
-      std::cerr << "selftest: b1 round-trip not byte-identical\n";
+      std::cerr << "selftest: corrupted frame not named\n";
       return 1;
     }
   }
@@ -572,7 +556,7 @@ int run_selftest() {
   {
     const std::string scratch = "trace_query_selftest_scratch.hsrb";
     auto& fs = hsr::util::Fs::real();
-    if (!hsr::trace::save_flow_capture_binary(fs, scratch, cap).is_ok()) {
+    if (!hsr::trace::save_capture_archive(fs, scratch, {cap}).is_ok()) {
       std::cerr << "selftest: scratch binary save failed\n";
       return 1;
     }
@@ -665,9 +649,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--duration") {
         const char* v = next();
         if (v == nullptr) return usage();
-        opts.duration_s = std::atof(v);
-        if (opts.duration_s <= 0.0) {
-          std::cerr << "replay: bad --duration '" << v << "'\n";
+        if (!parse_seconds(v, opts.duration_s)) {
+          std::cerr << "replay: bad --duration '" << v << "' (want seconds > 0)\n";
           return 2;
         }
       } else if (arg == "--save") {
@@ -739,7 +722,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto cap = load(argv[2], nth);
+  const auto cap = hsr::trace::load_flow_capture_any(argv[2], nth);
   if (!cap.is_ok()) {
     std::cerr << cap.status().to_string() << '\n';
     return 1;
