@@ -2,19 +2,23 @@
 //
 // Measures the simulation core's steady-state costs — event schedule/fire,
 // timer reschedule, cancel churn (all in events or ops per second, with
-// allocations per operation counted by the alloc probe), and an end-to-end
-// paper-scale flow (events/sec and flows/sec) — and emits a machine-
-// readable bench_out/BENCH_hotpath.json in a stable schema.
+// allocations per operation counted by the alloc probe), an end-to-end
+// paper-scale flow (events/sec and flows/sec) and the §III flow analysis of
+// the lossy flow's capture (analyze_flow calls/sec and allocations per
+// call) — and emits a machine-readable bench_out/BENCH_hotpath.json in a
+// stable schema.
 //
 // Compare two runs with tools/bench_compare.py:
 //   ./bench_hotpath                 # full run, ~seconds
 //   ./bench_hotpath --quick         # CI smoke: small op counts, short flow
 //   python3 tools/bench_compare.py baseline.json current.json
 //
-// JSON schema (schema_version 3; v3 added the lossy-flow metrics — a
+// JSON schema (schema_version 4; v3 added the lossy-flow metrics — a
 // SACK-enabled flow under scripted burst loss — and made the flow
 // allocation ratios steady-state probe-window measurements, pinned at
-// exactly 0): top-level run metadata, a flat
+// exactly 0; v4 added analysis_flows_per_s and analysis_allocs_per_flow,
+// analysis::analyze_flow over the lossy flow's capture): top-level run
+// metadata, a flat
 // "metrics" object holding the best-of-N values, and a "spread" object
 // recording min/max/mean/stddev of every throughput metric across the N
 // reps. Keys ending in "_per_s" are throughputs (higher is better); keys
@@ -34,7 +38,9 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 
+#include "analysis/flow_analysis.h"
 #include "bench/common.h"
 #include "radio/profiles.h"
 #include "sim/event_queue.h"
@@ -205,6 +211,7 @@ struct FlowResult {
   double allocs_per_event = 0.0;  // steady-state: probe window, exactly 0
   std::uint64_t sim_events = 0;
   double sim_duration_s = 0.0;
+  hsr::trace::FlowCapture capture;
 };
 
 // End-to-end: one paper-scale bulk-download flow (links, radio channels,
@@ -219,7 +226,7 @@ FlowResult measure_flow(hsr::workload::FlowRunConfig cfg, double sim_seconds) {
   cfg.probe_end = TimePoint::zero() + cfg.duration;
   (void)hsr::workload::run_flow(cfg);  // warm-up run
   const auto t0 = std::chrono::steady_clock::now();
-  const hsr::workload::FlowRunResult run = hsr::workload::run_flow(cfg);
+  hsr::workload::FlowRunResult run = hsr::workload::run_flow(cfg);
   const double wall = seconds_since(t0);
   FlowResult r;
   r.sim_events = run.sim_events;
@@ -228,6 +235,7 @@ FlowResult measure_flow(hsr::workload::FlowRunConfig cfg, double sim_seconds) {
   r.flows_per_s = 1.0 / wall;
   r.allocs_per_event = static_cast<double>(run.steady_allocs) /
                        static_cast<double>(run.steady_events);
+  r.capture = std::move(run.capture);
   return r;
 }
 
@@ -256,6 +264,25 @@ FlowResult bench_lossy_flow(double sim_seconds, std::uint64_t seed) {
         "bench-burst");
   }
   return measure_flow(std::move(cfg), sim_seconds);
+}
+
+// The §III flow analysis (analysis::analyze_flow) over one capture, called
+// `calls` times: whole-flow analyses per second, and heap allocations per
+// call counted by the alloc probe (a per-call constant for the flat
+// single-pass implementation, independent of the capture's length).
+SectionResult bench_analysis(const hsr::trace::FlowCapture& capture, int calls) {
+  double sink = hsr::analysis::analyze_flow(capture).goodput_pps;  // warm-up
+  AllocProbe::Scope scope;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < calls; ++i) {
+    sink += hsr::analysis::analyze_flow(capture).goodput_pps;
+  }
+  const double wall = seconds_since(t0);
+  SectionResult r;
+  r.ops_per_s = static_cast<double>(calls) / wall;
+  r.allocs_per_op = static_cast<double>(scope.news_delta()) / static_cast<double>(calls);
+  if (!std::isfinite(sink)) std::cout << "";  // keeps the calls observable
+  return r;
 }
 
 }  // namespace
@@ -316,6 +343,14 @@ int main(int argc, char** argv) {
   std::cout << "lossy flow (" << flow_secs << " s sim, SACK+bursts)  "
             << lf.events_per_s << " events/s  " << lf.allocs_per_event
             << " allocs/event (" << lf.sim_events << " events)\n";
+  const int analysis_calls = quick ? 20 : 200;
+  const SectionRuns an =
+      best_of(reps, [&] { return bench_analysis(lf.capture, analysis_calls); });
+  const std::uint64_t analysis_transmissions =
+      lf.capture.data.sent_count() + lf.capture.acks.sent_count();
+  std::cout << "analyze_flow (lossy capture, " << analysis_transmissions
+            << " transmissions)  " << an.best.ops_per_s << " flows/s  "
+            << an.best.allocs_per_op << " allocs/flow\n";
 
   const auto path = bench::out_dir() / "BENCH_hotpath.json";
   std::ofstream json(path);
@@ -328,7 +363,7 @@ int main(int argc, char** argv) {
   };
   json << "{\n"
        << "  \"bench\": \"hotpath\",\n"
-       << "  \"schema_version\": 3,\n"
+       << "  \"schema_version\": 4,\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"seed\": " << bench::seed() << ",\n"
@@ -336,6 +371,7 @@ int main(int argc, char** argv) {
        << "  \"ops\": " << ops << ",\n"
        << "  \"flow_sim_duration_s\": " << fl.sim_duration_s << ",\n"
        << "  \"flow_sim_events\": " << fl.sim_events << ",\n"
+       << "  \"analysis_transmissions\": " << analysis_transmissions << ",\n"
        << "  \"metrics\": {\n"
        << "    \"schedule_fire_events_per_s\": " << sf.best.ops_per_s << ",\n"
        << "    \"schedule_fire_allocs_per_event\": " << sf.best.allocs_per_op << ",\n"
@@ -349,7 +385,9 @@ int main(int argc, char** argv) {
        << "    \"flows_per_s\": " << fl.flows_per_s << ",\n"
        << "    \"flow_allocs_per_event\": " << fl.allocs_per_event << ",\n"
        << "    \"lossy_flow_events_per_s\": " << lf.events_per_s << ",\n"
-       << "    \"lossy_flow_allocs_per_event\": " << lf.allocs_per_event << "\n"
+       << "    \"lossy_flow_allocs_per_event\": " << lf.allocs_per_event << ",\n"
+       << "    \"analysis_flows_per_s\": " << an.best.ops_per_s << ",\n"
+       << "    \"analysis_allocs_per_flow\": " << an.best.allocs_per_op << "\n"
        << "  },\n"
        << "  \"spread\": {\n";
   spread_entry("schedule_fire_events_per_s", sf.ops, ",");
@@ -358,7 +396,8 @@ int main(int argc, char** argv) {
   spread_entry("cancel_churn_ops_per_s", cc.ops, ",");
   spread_entry("flow_events_per_s", flow_events_spread, ",");
   spread_entry("flows_per_s", flow_flows_spread, ",");
-  spread_entry("lossy_flow_events_per_s", lossy_events_spread, "");
+  spread_entry("lossy_flow_events_per_s", lossy_events_spread, ",");
+  spread_entry("analysis_flows_per_s", an.ops, "");
   json << "  }\n"
        << "}\n";
   std::cout << "[json] summary -> " << path.string() << "\n";

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -10,19 +11,36 @@ namespace hsr::analysis {
 
 namespace {
 
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
 struct AckArrival {
   TimePoint when;
   SeqNo ack_next;
 };
 
-// ACKs that actually reached the sender, in arrival order.
+// ACKs that actually reached the sender, in arrival order. A capture logs
+// ACKs in send order, so the arrivals are already sorted unless the uplink
+// reordered them, and only then is a sort needed. Arrivals with equal times
+// may end up in any order: every query below asks either for the arrivals
+// inside a time window (a set, whatever its order) or for the earliest
+// arrival time that satisfies a predicate, and neither depends on how ties
+// are ordered.
 std::vector<AckArrival> collect_ack_arrivals(const trace::FlowCapture& capture) {
-  std::vector<AckArrival> arrivals;
-  for (const auto& tx : capture.acks.transmissions()) {
-    if (tx.arrived) arrivals.push_back({*tx.arrived, tx.packet.ack_next});
+  const auto& txs = capture.acks.transmissions();
+  std::vector<AckArrival> arrivals(txs.size());
+  std::size_t n = 0;
+  // HSR_HOT_PATH_BEGIN
+  for (const auto& tx : txs) {
+    if (tx.arrived) arrivals[n++] = {*tx.arrived, tx.packet.ack_next};
   }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const AckArrival& a, const AckArrival& b) { return a.when < b.when; });
+  // HSR_HOT_PATH_END
+  arrivals.resize(n);
+  const auto by_time = [](const AckArrival& a, const AckArrival& b) {
+    return a.when < b.when;
+  };
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), by_time)) {
+    std::sort(arrivals.begin(), arrivals.end(), by_time);
+  }
   return arrivals;
 }
 
@@ -43,62 +61,136 @@ bool ack_arrived_just_before(const std::vector<AckArrival>& arrivals, TimePoint 
 }
 
 // Classification of every data transmission.
-enum class TxClass { kFirstSend, kRtoRetx, kFastRetx, kAckDrivenResend };
+enum class TxClass : std::uint8_t { kFirstSend, kRtoRetx, kFastRetx, kAckDrivenResend };
 
-std::vector<TxClass> classify_transmissions(const trace::FlowCapture& capture,
-                                            const std::vector<AckArrival>& arrivals,
-                                            const AnalysisConfig& cfg) {
-  const auto& txs = capture.data.transmissions();
-  std::vector<TxClass> classes(txs.size(), TxClass::kFirstSend);
-  std::map<SeqNo, std::size_t> last_send_of;
-
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    const SeqNo s = txs[i].packet.seq;
-    const TimePoint t = txs[i].sent;
-    const auto prev = last_send_of.find(s);
-    if (prev != last_send_of.end()) {
-      if (!ack_arrived_just_before(arrivals, t, cfg.ack_trigger_window)) {
-        classes[i] = TxClass::kRtoRetx;
-      } else {
-        // ACK-driven: fast retransmit iff enough duplicate ACKs for `s`
-        // arrived since the previous send of `s`.
-        const TimePoint prev_t = txs[prev->second].sent;
-        unsigned dupacks = 0;
-        for (std::size_t k = first_arrival_after(arrivals, prev_t);
-             k < arrivals.size() && arrivals[k].when <= t; ++k) {
-          if (arrivals[k].ack_next == s) ++dupacks;
-        }
-        classes[i] = dupacks >= cfg.dupack_threshold ? TxClass::kFastRetx
-                                                     : TxClass::kAckDrivenResend;
-      }
-    }
-    last_send_of[s] = i;
+// Classifies the re-send of `seq` at `sent` whose previous send of the same
+// seq went out at `prev_sent`.
+TxClass classify_resend(const std::vector<AckArrival>& arrivals, SeqNo seq,
+                        TimePoint prev_sent, TimePoint sent, const AnalysisConfig& cfg) {
+  if (!ack_arrived_just_before(arrivals, sent, cfg.ack_trigger_window)) {
+    return TxClass::kRtoRetx;
   }
-  return classes;
+  // ACK-driven: fast retransmit iff enough duplicate ACKs for `seq` arrived
+  // since the previous send of `seq`. Counting stops at the threshold,
+  // past which the count no longer matters.
+  unsigned dupacks = 0;
+  for (std::size_t k = first_arrival_after(arrivals, prev_sent);
+       k < arrivals.size() && arrivals[k].when <= sent && dupacks < cfg.dupack_threshold;
+       ++k) {
+    if (arrivals[k].ack_next == seq) ++dupacks;
+  }
+  return dupacks >= cfg.dupack_threshold ? TxClass::kFastRetx : TxClass::kAckDrivenResend;
+}
+
+// What the classification pass learns about one data transmission. The
+// prev/next links chain the sends of one seq in index order.
+struct TxLinks {
+  std::size_t prev = kNone;  // previous send of the same seq
+  std::size_t next = kNone;  // next send of the same seq
+  TxClass cls = TxClass::kFirstSend;
+  bool delivered_before = false;  // some earlier send of the seq arrived
+  bool consumed = false;          // counted into a timeout sequence
+};
+
+struct Classification {
+  std::vector<AckArrival> arrivals;
+  std::vector<TxLinks> txs;  // parallel to capture.data.transmissions()
+  std::uint64_t first_sends = 0;
+  std::uint64_t first_sends_lost = 0;
+  std::uint64_t unique_delivered = 0;  // distinct seqs with an arrived send
+  std::size_t rto_retransmits = 0;
+  unsigned fast_retransmits = 0;
+};
+
+// The one pass over the data transmissions, in index order. A send whose
+// seq was sent before (at a lower index) is a re-send and gets classified;
+// a capture whose send times are out of order is still walked in index
+// order, exactly as it was recorded.
+Classification classify(const trace::FlowCapture& capture, const AnalysisConfig& cfg) {
+  struct SlotState {
+    std::size_t last = kNone;  // latest send of the seq so far
+    bool delivered = false;    // some send of the seq so far arrived
+  };
+  Classification out;
+  out.arrivals = collect_ack_arrivals(capture);
+  const auto& data = capture.data.transmissions();
+  const trace::SeqSlots slots(data);
+  std::vector<SlotState> state(slots.size());
+  out.txs.resize(data.size());
+  // HSR_HOT_PATH_BEGIN
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const trace::Transmission& tx = data[i];
+    SlotState& slot = state[slots.slot_of(tx.packet.seq)];
+    TxLinks& links = out.txs[i];
+    if (slot.last == kNone) {
+      ++out.first_sends;
+      if (tx.lost()) ++out.first_sends_lost;
+    } else {
+      links.prev = slot.last;
+      links.delivered_before = slot.delivered;
+      out.txs[slot.last].next = i;
+      links.cls = classify_resend(out.arrivals, tx.packet.seq, data[slot.last].sent,
+                                  tx.sent, cfg);
+      if (links.cls == TxClass::kRtoRetx) ++out.rto_retransmits;
+      if (links.cls == TxClass::kFastRetx) ++out.fast_retransmits;
+    }
+    slot.last = i;
+    if (tx.arrived && !slot.delivered) {
+      slot.delivered = true;
+      ++out.unique_delivered;
+    }
+  }
+  // HSR_HOT_PATH_END
+  return out;
+}
+
+// Counts RTT rounds over `n` ACKs given as (round, lost) pairs by `at`, in
+// an order where each round is one run of equal round numbers: the rounds
+// with at least one ACK, and those whose every ACK was lost. Returns false,
+// leaving the counts unusable, at the first round number below the one
+// before it.
+template <typename RoundAt>
+bool count_rounds(std::size_t n, RoundAt at, unsigned& with_acks, unsigned& all_lost) {
+  with_acks = 0;
+  all_lost = 0;
+  std::int64_t round = 0;
+  bool every_lost = true;
+  // HSR_HOT_PATH_BEGIN
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [r, lost] = at(i);
+    if (i > 0 && r < round) return false;
+    if (i > 0 && r > round) {
+      ++with_acks;
+      if (every_lost) ++all_lost;
+      every_lost = true;
+    }
+    round = r;
+    every_lost = every_lost && lost;
+  }
+  // HSR_HOT_PATH_END
+  if (n > 0) {
+    ++with_acks;
+    if (every_lost) ++all_lost;
+  }
+  return true;
 }
 
 }  // namespace
 
 std::vector<std::size_t> find_rto_retransmissions(const trace::FlowCapture& capture,
                                                   AnalysisConfig config) {
-  const auto arrivals = collect_ack_arrivals(capture);
-  const auto classes = classify_transmissions(capture, arrivals, config);
+  const Classification c = classify(capture, config);
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    if (classes[i] == TxClass::kRtoRetx) out.push_back(i);
+  out.reserve(c.rto_retransmits);
+  for (std::size_t i = 0; i < c.txs.size(); ++i) {
+    if (c.txs[i].cls == TxClass::kRtoRetx) out.push_back(i);
   }
   return out;
 }
 
 unsigned count_fast_retransmissions(const trace::FlowCapture& capture,
                                     AnalysisConfig config) {
-  const auto arrivals = collect_ack_arrivals(capture);
-  const auto classes = classify_transmissions(capture, arrivals, config);
-  unsigned n = 0;
-  for (const TxClass c : classes) {
-    if (c == TxClass::kFastRetx) ++n;
-  }
-  return n;
+  return classify(capture, config).fast_retransmits;
 }
 
 double estimate_ack_burst_loss(const trace::FlowCapture& capture, Duration rtt) {
@@ -109,19 +201,21 @@ double estimate_ack_burst_loss(const trace::FlowCapture& capture, Duration rtt) 
   // Bucket ACK transmissions into RTT-sized rounds anchored at the first
   // ACK's send time; a round contributes when it contains at least one ACK.
   const TimePoint origin = txs.front().sent;
-  std::map<std::int64_t, std::pair<unsigned, unsigned>> rounds;  // round -> (sent, lost)
-  for (const auto& tx : txs) {
-    const std::int64_t round = (tx.sent - origin).ns() / rtt.ns();
-    auto& [sent, lost] = rounds[round];
-    ++sent;
-    if (tx.lost()) ++lost;
-  }
+  const auto round_at = [&](std::size_t i) {
+    return std::pair<std::int64_t, bool>((txs[i].sent - origin).ns() / rtt.ns(),
+                                         txs[i].lost());
+  };
   unsigned with_acks = 0;
   unsigned all_lost = 0;
-  for (const auto& [round, counts] : rounds) {
-    (void)round;
-    ++with_acks;
-    if (counts.second == counts.first) ++all_lost;
+  // ACKs go out in time order, so their rounds come as runs. Only a capture
+  // with send times out of order (a decoder accepts any order) needs the
+  // rounds sorted first.
+  if (!count_rounds(txs.size(), round_at, with_acks, all_lost)) {
+    std::vector<std::pair<std::int64_t, bool>> rounds(txs.size());
+    for (std::size_t i = 0; i < txs.size(); ++i) rounds[i] = round_at(i);
+    std::sort(rounds.begin(), rounds.end());
+    count_rounds(
+        rounds.size(), [&](std::size_t i) { return rounds[i]; }, with_acks, all_lost);
   }
   return with_acks == 0 ? 0.0
                         : static_cast<double>(all_lost) / static_cast<double>(with_acks);
@@ -155,27 +249,18 @@ LossBreakdown loss_breakdown(const trace::FlowCapture& capture) {
 FlowAnalysis analyze_flow(const trace::FlowCapture& capture, AnalysisConfig config) {
   FlowAnalysis out;
   const auto& data_txs = capture.data.transmissions();
-  const auto arrivals = collect_ack_arrivals(capture);
-  const auto classes = classify_transmissions(capture, arrivals, config);
+  Classification c = classify(capture, config);
+  const auto& arrivals = c.arrivals;
 
   out.data_loss_rate = capture.data.loss_rate();
   out.ack_loss_rate = capture.acks.loss_rate();
-  {
-    // First-transmission loss rate: the first send of each distinct segment.
-    std::map<SeqNo, bool> seen_first;
-    std::uint64_t firsts = 0, firsts_lost = 0;
-    for (const auto& tx : data_txs) {
-      auto [it2, inserted] = seen_first.emplace(tx.packet.seq, true);
-      (void)it2;
-      if (!inserted) continue;
-      ++firsts;
-      if (tx.lost()) ++firsts_lost;
-    }
-    out.first_tx_loss_rate =
-        firsts == 0 ? 0.0 : static_cast<double>(firsts_lost) / static_cast<double>(firsts);
-    out.first_transmissions = firsts;
-  }
-  out.unique_segments = capture.unique_segments_delivered();
+  // First-transmission loss rate: the first send of each distinct segment.
+  out.first_tx_loss_rate =
+      c.first_sends == 0
+          ? 0.0
+          : static_cast<double>(c.first_sends_lost) / static_cast<double>(c.first_sends);
+  out.first_transmissions = c.first_sends;
+  out.unique_segments = c.unique_delivered;
   out.span = capture.span();
   out.mean_rtt = capture.estimated_rtt();
   out.goodput_pps = out.span > Duration::zero()
@@ -183,43 +268,32 @@ FlowAnalysis analyze_flow(const trace::FlowCapture& capture, AnalysisConfig conf
                         : 0.0;
   out.mean_window_segments = out.goodput_pps * out.mean_rtt.to_seconds();
   out.ack_burst_loss_probability = estimate_ack_burst_loss(capture, out.mean_rtt);
-
-  for (const TxClass c : classes) {
-    if (c == TxClass::kFastRetx) ++out.fast_retransmits;
-  }
+  out.fast_retransmits = c.fast_retransmits;
 
   // --- Timeout sequences -----------------------------------------------------
-  // Per segment: all transmission indices, in time order (captures are
-  // chronological per direction).
-  std::map<SeqNo, std::vector<std::size_t>> sends_of;
+  // Each not-yet-counted RTO retransmission, in index order, opens a
+  // sequence; the walk follows the send links of its seq, which run in
+  // index order. Send times decide recovery and membership, and a capture
+  // may hold them out of index order (the decoder accepts any order).
+  out.timeout_sequences.resize(c.rto_retransmits);
+  std::size_t n_open = 0;
+  // HSR_HOT_PATH_BEGIN
   for (std::size_t i = 0; i < data_txs.size(); ++i) {
-    sends_of[data_txs[i].packet.seq].push_back(i);
-  }
-
-  std::vector<bool> consumed(data_txs.size(), false);
-  for (std::size_t i = 0; i < data_txs.size(); ++i) {
-    if (classes[i] != TxClass::kRtoRetx || consumed[i]) continue;
+    if (c.txs[i].cls != TxClass::kRtoRetx || c.txs[i].consumed) continue;
 
     const SeqNo s = data_txs[i].packet.seq;
-    TimeoutSequence seq_info;
+    TimeoutSequence& seq_info = out.timeout_sequences[n_open++];
     seq_info.seq = s;
     seq_info.first_retx = data_txs[i].sent;
 
-    const auto& sends = sends_of[s];
     // Previous transmission of s (the "original" whose timer expired).
-    const auto it = std::find(sends.begin(), sends.end(), i);
-    HSR_CHECK(it != sends.begin() && it != sends.end());
-    const std::size_t original_idx = *(it - 1);
+    const std::size_t original_idx = c.txs[i].prev;
+    HSR_CHECK(original_idx != kNone);
     seq_info.ca_end = data_txs[original_idx].sent;
 
     // Spurious iff any copy of s put on the wire before the first RTO
     // retransmission actually reached the receiver.
-    for (auto jt = sends.begin(); jt != it; ++jt) {
-      if (data_txs[*jt].arrived) {
-        seq_info.spurious = true;
-        break;
-      }
-    }
+    seq_info.spurious = c.txs[i].delivered_before;
 
     // Recovery: first ACK arriving after the first retransmission that
     // acknowledges past s.
@@ -239,11 +313,10 @@ FlowAnalysis analyze_flow(const trace::FlowCapture& capture, AnalysisConfig conf
     // All RTO retransmissions of s within [first_retx, recovered] belong to
     // this sequence; count their fates.
     TimePoint second_retx = TimePoint::max();
-    for (auto jt = it; jt != sends.end(); ++jt) {
-      const std::size_t idx = *jt;
+    for (std::size_t idx = i; idx != kNone; idx = c.txs[idx].next) {
       if (data_txs[idx].sent > seq_info.recovered) break;
-      if (classes[idx] != TxClass::kRtoRetx) continue;
-      consumed[idx] = true;
+      if (c.txs[idx].cls != TxClass::kRtoRetx) continue;
+      c.txs[idx].consumed = true;
       ++seq_info.num_timeouts;
       ++seq_info.retx_sent;
       if (seq_info.num_timeouts == 2) second_retx = data_txs[idx].sent;
@@ -252,8 +325,9 @@ FlowAnalysis analyze_flow(const trace::FlowCapture& capture, AnalysisConfig conf
     if (second_retx != TimePoint::max()) {
       seq_info.backoff_gap = second_retx - seq_info.first_retx;
     }
-    out.timeout_sequences.push_back(std::move(seq_info));
   }
+  // HSR_HOT_PATH_END
+  out.timeout_sequences.resize(n_open);
 
   std::sort(out.timeout_sequences.begin(), out.timeout_sequences.end(),
             [](const TimeoutSequence& a, const TimeoutSequence& b) {

@@ -1,7 +1,6 @@
 #include "trace/capture.h"
 
 #include <algorithm>
-#include <set>
 
 #include "util/logging.h"
 
@@ -89,20 +88,46 @@ Duration DirectionCapture::mean_transit() const {
   return Duration::nanos(total_ns / n);
 }
 
-SeqNo FlowCapture::highest_delivered_seq() const {
-  SeqNo best = 0;
-  for (const auto& tx : data.transmissions()) {
-    if (tx.arrived) best = std::max(best, tx.packet.seq);
+SeqSlots::SeqSlots(const std::vector<Transmission>& txs) {
+  if (txs.empty()) return;
+  SeqNo lo = txs.front().packet.seq;
+  SeqNo hi = lo;
+  for (const auto& tx : txs) {
+    lo = std::min(lo, tx.packet.seq);
+    hi = std::max(hi, tx.packet.seq);
   }
-  return best;
+  min_ = lo;
+  if (hi - lo < kMaxDenseSpread * txs.size()) {
+    size_ = static_cast<std::size_t>(hi - lo) + 1;
+    return;
+  }
+  distinct_.reserve(txs.size());
+  for (const auto& tx : txs) distinct_.push_back(tx.packet.seq);
+  std::sort(distinct_.begin(), distinct_.end());
+  distinct_.erase(std::unique(distinct_.begin(), distinct_.end()), distinct_.end());
+  size_ = distinct_.size();
+}
+
+std::size_t SeqSlots::sparse_slot(SeqNo seq) const {
+  const auto it = std::lower_bound(distinct_.begin(), distinct_.end(), seq);
+  HSR_DCHECK(it != distinct_.end() && *it == seq);
+  return static_cast<std::size_t>(it - distinct_.begin());
 }
 
 std::uint64_t FlowCapture::unique_segments_delivered() const {
-  std::set<SeqNo> seen;
-  for (const auto& tx : data.transmissions()) {
-    if (tx.arrived) seen.insert(tx.packet.seq);
+  const auto& txs = data.transmissions();
+  const SeqSlots slots(txs);
+  std::vector<bool> delivered(slots.size(), false);
+  std::uint64_t unique = 0;
+  for (const auto& tx : txs) {
+    if (!tx.arrived) continue;
+    const std::size_t slot = slots.slot_of(tx.packet.seq);
+    if (!delivered[slot]) {
+      delivered[slot] = true;
+      ++unique;
+    }
   }
-  return seen.size();
+  return unique;
 }
 
 Duration FlowCapture::span() const {

@@ -99,6 +99,36 @@ class DirectionCapture final : public net::LinkTap {
   std::uint64_t lost_ = 0;
 };
 
+// Dense slot numbers for the data seqs of one transmission log, so per-seq
+// state can live in a flat array instead of a node-based map. Seqs are
+// dense per flow (one slot per MSS-sized segment), so a seq's slot is
+// normally `seq - min_seq`. When the seq range exceeds kMaxDenseSpread times
+// the transmission count (only a crafted or corrupt archive does that), the
+// slots index a sorted table of the distinct seqs instead, so no input can
+// choose the size of a table: size() never exceeds
+// kMaxDenseSpread * txs.size().
+class SeqSlots {
+ public:
+  static constexpr std::uint64_t kMaxDenseSpread = 4;
+
+  explicit SeqSlots(const std::vector<Transmission>& txs);
+
+  // One past the largest slot.
+  std::size_t size() const { return size_; }
+  // Slot of `seq`, which must be the seq of one of the transmissions the
+  // slots were built from.
+  std::size_t slot_of(SeqNo seq) const {
+    return distinct_.empty() ? static_cast<std::size_t>(seq - min_) : sparse_slot(seq);
+  }
+
+ private:
+  std::size_t sparse_slot(SeqNo seq) const;
+
+  SeqNo min_ = 0;
+  std::size_t size_ = 0;
+  std::vector<SeqNo> distinct_;  // sorted distinct seqs; empty when dense
+};
+
 // Both directions of one flow.
 struct FlowCapture {
   net::FlowId flow = 0;
@@ -131,9 +161,8 @@ struct FlowCapture {
   double data_loss_rate() const { return data.loss_rate(); }
   double ack_loss_rate() const { return acks.loss_rate(); }
 
-  // Highest data segment number that reached the receiver at least once.
-  SeqNo highest_delivered_seq() const;
   // Count of distinct data segments delivered at least once (goodput basis).
+  // Counted over SeqSlots, the slot mapping analysis::analyze_flow uses.
   std::uint64_t unique_segments_delivered() const;
   // Duration from first to last captured event.
   Duration span() const;

@@ -116,6 +116,8 @@ struct Cursor {
     return true;
   }
 
+  std::uint64_t remaining() const { return static_cast<std::uint64_t>(end - p); }
+
   bool done() const { return !fail && p == end; }
 };
 
@@ -225,8 +227,11 @@ bool get_rle(Cursor& c, std::vector<std::uint64_t>& out) {
 
 util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
                               net::FlowId flow, DirectionCapture& cap) {
+  // Every transmission costs at least one byte in each of the id, seq, ack
+  // and sent delta columns, so a count above a quarter of the bytes left
+  // is corruption; rejecting it here keeps it from sizing the columns.
   const std::uint64_t n = c.get_varint();
-  if (c.fail || n > kMaxPlausiblePacketId) {
+  if (c.fail || n > c.remaining() / 4) {
     return frame_error(frame, "bad transmission count");
   }
   const std::size_t count = static_cast<std::size_t>(n);
@@ -326,8 +331,10 @@ util::Status decode_flow_payload(const std::string& payload, std::uint64_t frame
   status = decode_direction(c, frame, 'A', cap.flow, cap.acks);
   if (!status.is_ok()) return status;
 
+  // A fault record is at least nine bytes: three tags and six varints
+  // (the label's length included).
   const std::uint64_t fault_count = c.get_varint();
-  if (c.fail || fault_count > kMaxPlausiblePacketId) {
+  if (c.fail || fault_count > c.remaining() / 9) {
     return frame_error(frame, "bad fault count");
   }
   cap.faults.reserve(static_cast<std::size_t>(fault_count));

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <utility>
 
+#include "analysis/flow_analysis.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "sim/event_queue.h"
@@ -214,6 +215,37 @@ TEST(MultiFlowAllocTest, SixtyFourFlowSteadyStateIsAllocationFree) {
   EXPECT_EQ(result.steady_allocs, 0u)
       << "allocs=" << result.steady_allocs
       << " events=" << result.steady_events;
+}
+
+// The flow analysis works over flat per-call arrays (ACK arrivals, per-seq
+// slots, per-transmission links, the timeout-sequence table), so a call
+// costs a handful of allocations however long the capture is. A node-based
+// container on the per-transmission path would cost thousands.
+TEST(AnalyzeFlowAllocTest, AllocationsPerCallStayConstantWithCaptureLength) {
+  constexpr std::uint64_t kMaxAllocsPerCall = 32;
+  std::uint64_t transmissions[2] = {};
+  std::uint64_t allocs[2] = {};
+  const int seconds[2] = {30, 300};
+  for (int k = 0; k < 2; ++k) {
+    workload::FlowRunConfig cfg;
+    cfg.profile = radio::mobile_lte_highspeed();
+    cfg.duration = util::Duration::seconds(seconds[k]);
+    cfg.seed = 2015;
+    const workload::FlowRunResult run = workload::run_flow(cfg);
+    ASSERT_TRUE(run.status.is_ok());
+    transmissions[k] = run.capture.data.sent_count() + run.capture.acks.sent_count();
+    AllocProbe::Scope scope;
+    const analysis::FlowAnalysis a = analysis::analyze_flow(run.capture);
+    allocs[k] = scope.news_delta();
+    EXPECT_LE(allocs[k], kMaxAllocsPerCall)
+        << seconds[k] << " s flow, " << transmissions[k] << " transmissions";
+    if (k == 1) {
+      EXPECT_GT(a.timeout_sequences.size(), 0u);
+    }
+  }
+  ASSERT_GT(transmissions[1], 3 * transmissions[0]);
+  EXPECT_LE(allocs[1], allocs[0]) << "allocations grew with capture length: " << allocs[0]
+                                   << " -> " << allocs[1];
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ TEST(FlowCaptureTest, UniqueSegmentsCountsDistinctDeliveries) {
   cap.data.on_send(data(3, 6), TimePoint::from_ns(40));
   cap.data.on_drop(data(3, 6), TimePoint::from_ns(40), DropCause::bernoulli());
   EXPECT_EQ(cap.unique_segments_delivered(), 1u);
-  EXPECT_EQ(cap.highest_delivered_seq(), 5u);
 }
 
 TEST(FlowCaptureTest, SpanCoversBothDirections) {
@@ -93,7 +92,39 @@ TEST(FlowCaptureTest, EmptySpanIsZero) {
   FlowCapture cap;
   EXPECT_EQ(cap.span(), util::Duration::zero());
   EXPECT_EQ(cap.unique_segments_delivered(), 0u);
-  EXPECT_EQ(cap.highest_delivered_seq(), 0u);
+}
+
+std::vector<Transmission> sends_of(std::initializer_list<SeqNo> seqs) {
+  DirectionCapture cap;
+  std::uint64_t id = 1;
+  for (const SeqNo seq : seqs) cap.on_send(data(id++, seq), TimePoint::zero());
+  return cap.transmissions();
+}
+
+TEST(SeqSlotsTest, DenseSeqsMapToOffsetFromTheSmallest) {
+  const SeqSlots slots(sends_of({7, 5, 6, 5, 9}));
+  EXPECT_EQ(slots.size(), 5u);  // 5..9
+  EXPECT_EQ(slots.slot_of(5), 0u);
+  EXPECT_EQ(slots.slot_of(9), 4u);
+  EXPECT_EQ(SeqSlots(sends_of({})).size(), 0u);
+  EXPECT_EQ(SeqSlots(sends_of({~SeqNo{0}})).size(), 1u);
+}
+
+TEST(SeqSlotsTest, SpreadBeyondTheBoundUsesTheDistinctSeqTable) {
+  // Three distinct seqs spread over 2^40: a dense table would need 2^40 slots.
+  const SeqNo far = SeqNo{1} << 40;
+  const SeqSlots slots(sends_of({far, 1, far, 0}));
+  EXPECT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots.slot_of(0), 0u);
+  EXPECT_EQ(slots.slot_of(1), 1u);
+  EXPECT_EQ(slots.slot_of(far), 2u);
+  // The full seq range never overflows the size.
+  const SeqSlots ends(sends_of({0, ~SeqNo{0}}));
+  EXPECT_EQ(ends.size(), 2u);
+  EXPECT_EQ(ends.slot_of(~SeqNo{0}), 1u);
+  // At the bound (spread < kMaxDenseSpread * n) the table stays dense.
+  const SeqSlots edge(sends_of({10, 10 + SeqSlots::kMaxDenseSpread * 2 - 1}));
+  EXPECT_EQ(edge.size(), SeqSlots::kMaxDenseSpread * 2);
 }
 
 TEST(DirectionCaptureDeathTest, DropForUnseenPacketAborts) {

@@ -246,6 +246,57 @@ TEST(TraceBinaryTest, UnknownFrameTypesAreSkipped) {
   EXPECT_FALSE(corpus.value().torn_tail);
 }
 
+// A flow frame whose payload is `payload`, behind a header declaring one
+// flow: a well-formed, CRC-valid archive around a crafted payload.
+std::string archive_around(const std::string& payload) {
+  std::ostringstream os;
+  write_binary_trace_header(os, 1);
+  std::string frame;
+  encode_raw_frame('F', payload, /*seq=*/0, frame);
+  os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  return os.str();
+}
+
+// LEB128, as the columnar payload codes its counts.
+std::string varint(std::uint64_t v) {
+  std::string out;
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+TEST(TraceBinaryTest, TransmissionCountBeyondThePayloadIsRejectedBeforeAllocating) {
+  // Flow id 1, then a data direction claiming 2^40 transmissions with no
+  // column bytes behind it: 48 bytes that must not size seven 8 TiB
+  // columns.
+  const std::string bytes = archive_around(varint(1) + varint(std::uint64_t{1} << 40));
+  ASSERT_EQ(bytes.size(), 48u);
+  std::istringstream in(bytes);
+  BinaryTraceReader reader(in);
+  ASSERT_TRUE(reader.open().is_ok());
+  FlowCapture flow;
+  QuarantineRecord quarantine;
+  const auto frame = reader.next(&flow, &quarantine);
+  ASSERT_FALSE(frame.is_ok());
+  EXPECT_NE(frame.status().message().find("frame 0: bad transmission count"),
+            std::string::npos)
+      << frame.status().to_string();
+}
+
+TEST(TraceBinaryTest, FaultCountBeyondThePayloadIsRejectedBeforeAllocating) {
+  // Two empty directions, then 2^40 fault records with nothing behind them.
+  const std::string bytes =
+      archive_around(varint(1) + varint(0) + varint(0) + varint(std::uint64_t{1} << 40));
+  std::istringstream in(bytes);
+  const auto corpus = read_binary_corpus(in);
+  ASSERT_FALSE(corpus.is_ok());
+  EXPECT_NE(corpus.status().message().find("frame 0: bad fault count"), std::string::npos)
+      << corpus.status().to_string();
+}
+
 TEST(TraceBinaryTest, QuarantineFramesRoundTrip) {
   QuarantineRecord rec;
   rec.flow_index = 42;

@@ -168,6 +168,10 @@ SELF_CHECK_CASES = [
     ("flow_allocs_per_event", 0.0, 0.5, "regression"),          # zero-alloc lost
     ("flow_allocs_per_event", 2.0, 1.0, "ok"),                  # fewer allocs
     ("flow_sim_events", 1000.0, 1.0, "info"),                   # unknown direction
+    # The analysis metrics (bench_hotpath schema v4) gate by name too.
+    ("analysis_flows_per_s", 1000.0, 850.0, "regression"),      # -15 % analyses/s
+    ("analysis_allocs_per_flow", 4.0, 4.0, "ok"),               # constant per call
+    ("analysis_allocs_per_flow", 4.0, 6.0, "regression"),       # +50 % per call
 ]
 
 # (name, baseline, current, base_spread, cur_spread, expected status)

@@ -33,8 +33,9 @@ pluggable rule framework. Five rule families ship today:
                  cannot be layer-checked and are rejected inside src/.
 
   hotpath        named allocation constructs (`new`, make_unique/shared,
-                 push_back/emplace/insert/resize/reserve, std::function)
-                 are banned between `HSR_HOT_PATH_BEGIN` and
+                 push_back/emplace/insert/resize/reserve, std::function,
+                 and operator[] on a std::map / std::unordered_map
+                 variable) are banned between `HSR_HOT_PATH_BEGIN` and
                  `HSR_HOT_PATH_END` comment markers — the EventQueue / Link
                  / Timer regions whose zero-allocation behaviour PR 5's
                  alloc probe pins dynamically are annotated, so an
@@ -321,6 +322,7 @@ class QualifiedName:
     line: int
     text: str          # e.g. "std::chrono::system_clock"
     next_tokens: list[str] = field(default_factory=list)  # up to 3 following
+    end: int = 0       # index of the first token after the name
 
 
 def collect_qualified_names(tokens: list[tuple[int, str]]) -> list[QualifiedName]:
@@ -348,7 +350,7 @@ def collect_qualified_names(tokens: list[tuple[int, str]]) -> list[QualifiedName
                 j += 1
             text = "".join(parts)
             following = [t for (_, t) in tokens[j:j + 4]]
-            names.append(QualifiedName(line, text, following))
+            names.append(QualifiedName(line, text, following, j))
             i = j
         else:
             i += 1
@@ -739,6 +741,40 @@ HOT_BANNED_CALLS = {
     "reserve": "allocation",
 }
 HOT_BANNED_TYPES_RE = re.compile(r"std::function\b")
+# Node-based maps whose operator[] inserts (allocates) on a miss. A
+# subscript on a variable declared with one of these types is flagged; a
+# subscript on anything else (a flat vector indexed by slot) is not.
+HOT_NODE_MAP_RE = re.compile(r"^std::(?:unordered_)?map\b")
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def node_map_variables(ctx: "FileContext") -> set[str]:
+    """Names declared in the file with a std::map / std::unordered_map type
+    (directly or through an alias): `std::map<K, V> m`, `const Alias& m`."""
+    tokens = ctx.lexed.tokens
+    n = len(tokens)
+    names: set[str] = set()
+    for qn in ctx.names:
+        if not HOT_NODE_MAP_RE.match(ctx.aliases.resolve(qn.text)):
+            continue
+        j = qn.end
+        if j < n and tokens[j][1] == "<":  # skip the template arguments
+            depth = 0
+            while j < n:
+                if tokens[j][1] == "<":
+                    depth += 1
+                elif tokens[j][1] == ">":
+                    depth -= 1
+                    if depth == 0:
+                        j += 1
+                        break
+                j += 1
+        while j < n and tokens[j][1] in ("const", "&", "*"):
+            j += 1
+        if (j < n and _IDENT_RE.fullmatch(tokens[j][1])
+                and not (j + 1 < n and tokens[j + 1][1] in ("(", "::"))):
+            names.add(tokens[j][1])
+    return names
 
 
 def hot_regions(raw_lines: list[str]) -> tuple[list[tuple[int, int]], list[Diagnostic] | None]:
@@ -791,10 +827,15 @@ class HotPathRule(Rule):
                 "amortized growth line with 'hsr-lint-ok: <reason>'")
 
         tokens = ctx.lexed.tokens
+        maps = node_map_variables(ctx)
         for i, (line, tok) in enumerate(tokens):
             if not in_region(line):
                 continue
-            if tok == "new":
+            if tok in maps and i + 1 < len(tokens) and tokens[i + 1][1] == "[":
+                yield from report(line, "operator[]",
+                                  "std::map::operator[] allocates a node on a miss; "
+                                  "index a flat array by slot instead")
+            elif tok == "new":
                 # Placement new constructs into existing storage: allowed.
                 if i + 1 < len(tokens) and tokens[i + 1][1] == "(":
                     continue
