@@ -21,16 +21,18 @@
 namespace hsr::net {
 
 // Observer of everything that happens on a link. The trace module implements
-// this to play the role of a wireshark capture at each endpoint.
+// this to play the role of a wireshark capture at each endpoint; it joins
+// fates to sends by the call order stated here (DESIGN.md §6f).
 class LinkTap {
  public:
   virtual ~LinkTap() = default;
   // Packet handed to the link by the sender (seen at the sender's NIC).
+  // Senders allocate its id right before Link::send, so ids increase.
   virtual void on_send(const Packet& packet, TimePoint when) = 0;
   // Packet dropped (queue or channel); never delivered. `cause` is the
   // structured attribution — category plus composite-component / scripted-
   // directive indices — produced by the Link (queue overflow) or the
-  // ChannelVerdict.
+  // ChannelVerdict. Synchronous: reported right after the packet's on_send.
   virtual void on_drop(const Packet& packet, TimePoint when,
                        const DropCause& cause) = 0;
   // Packet delivered to the receiving endpoint.

@@ -3,7 +3,7 @@
 namespace hsr::net {
 
 namespace {
-// Thread-local: ids are only join keys within one flow's capture, and a
+// Thread-local: ids only need to increase along each flow's sends, and a
 // flow (or one simulator's set of subflows) runs entirely on one thread,
 // so per-thread uniqueness suffices. Sharding parallel experiments across
 // a pool therefore neither races here nor lets thread interleaving bleed

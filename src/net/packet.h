@@ -52,9 +52,9 @@ struct Packet {
   std::uint8_t sack_count = 0;
 };
 
-// Thread-local unique packet id source. Ids are only used as join keys when
-// matching capture records (send vs deliver) within one flow's capture;
-// uniqueness per thread is all that is required, since a simulation run
+// Thread-local unique packet id source. Ids are archived data; a live capture
+// checks fates against them, so they must increase along one flow's sends.
+// Uniqueness per thread is all that is required, since a simulation run
 // never spans threads. Keeping the counter thread-local lets experiment
 // shards run in parallel without races or cross-shard id coupling.
 std::uint64_t allocate_packet_id();

@@ -1,6 +1,7 @@
 #include "trace/capture.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -13,10 +14,7 @@ void FlowCapture::reserve_for(Duration duration, double data_rate_bps,
   }
   const double segments =
       duration.to_seconds() * data_rate_bps / (8.0 * static_cast<double>(mss_bytes));
-  // Full saturated-link estimate, clamped. (This used to reserve a quarter
-  // tranche and let vector doubling absorb the rest; the growth that saved
-  // memory up front cost reallocations mid-flow, which the steady-state
-  // zero-allocation contract — FlowAllocTest, bench_hotpath — now forbids.)
+  // Full saturated-link estimate, clamped.
   const std::size_t data_reserve = std::clamp(
       segments >= static_cast<double>(kMaxReserveTx)
           ? kMaxReserveTx
@@ -29,50 +27,51 @@ void FlowCapture::reserve_for(Duration duration, double data_rate_bps,
   acks.reserve(data_reserve);
 }
 
-void FlowCapture::reserve_id_space(std::size_t expected_ids) {
-  data.reserve_ids(expected_ids);
-  acks.reserve_ids(expected_ids);
+DirectionCapture::DirectionCapture(std::vector<Transmission> transmissions)
+    : txs_(std::move(transmissions)) {
+  for (const auto& tx : txs_) lost_ += tx.drop_cause ? 1 : 0;
 }
 
 void DirectionCapture::reserve(std::size_t expected_transmissions) {
   txs_.reserve(expected_transmissions);
-  // Ids are drawn from one per-flow counter shared by both directions, so
-  // the id index spans roughly twice this direction's own traffic.
-  index_of_id_.reserve(expected_transmissions * 2);
 }
 
-void DirectionCapture::reserve_ids(std::size_t expected_ids) {
-  index_of_id_.reserve(expected_ids);
-}
-
+// HSR_HOT_PATH_BEGIN — the taps run once per packet; fates join by position.
 void DirectionCapture::on_send(const Packet& packet, TimePoint when) {
+  HSR_CHECK_MSG(txs_.empty() || packet.id > txs_.back().packet.id,
+                "capture send with a non-increasing packet id");
   // Record in place: no Transmission temporary on the per-packet path.
-  if (packet.id >= index_of_id_.size()) {
-    index_of_id_.resize(packet.id + 1, 0);
-  }
-  index_of_id_[packet.id] = txs_.size() + 1;
-  Transmission& tx = txs_.emplace_back();
+  Transmission& tx = txs_.emplace_back();  // hsr-lint-ok: pre-sized by reserve_for
   tx.packet = packet;
   tx.sent = when;
-}
-
-std::size_t DirectionCapture::index_of(std::uint64_t packet_id) const {
-  const std::size_t slot =
-      packet_id < index_of_id_.size() ? index_of_id_[packet_id] : 0;
-  HSR_CHECK_MSG(slot != 0, "fate report for unseen packet");
-  return slot - 1;
 }
 
 void DirectionCapture::on_drop(const Packet& packet, TimePoint when,
                                const DropCause& cause) {
   (void)when;
-  txs_[index_of(packet.id)].drop_cause = cause;
+  HSR_CHECK_MSG(!txs_.empty() && txs_.back().packet.id == packet.id,
+                "drop report for a packet other than the newest send (unseen or late)");
+  txs_.back().drop_cause = cause;
   ++lost_;
 }
 
 void DirectionCapture::on_deliver(const Packet& packet, TimePoint sent, TimePoint arrived) {
   (void)sent;
-  txs_[index_of(packet.id)].arrived = arrived;
+  std::size_t i = next_delivery_;
+  while (i < txs_.size() && txs_[i].drop_cause) ++i;
+  if (i == txs_.size() || txs_[i].packet.id != packet.id) i = index_of(packet.id);
+  txs_[i].arrived = arrived;
+  next_delivery_ = i + 1;
+}
+// HSR_HOT_PATH_END
+
+std::size_t DirectionCapture::index_of(std::uint64_t packet_id) const {
+  const auto it = std::lower_bound(
+      txs_.begin(), txs_.end(), packet_id,
+      [](const Transmission& tx, std::uint64_t id) { return tx.packet.id < id; });
+  HSR_CHECK_MSG(it != txs_.end() && it->packet.id == packet_id,
+                "fate report for unseen packet");
+  return static_cast<std::size_t>(it - txs_.begin());
 }
 
 Duration DirectionCapture::mean_transit() const {

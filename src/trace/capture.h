@@ -58,18 +58,21 @@ struct Transmission {
 
 class DirectionCapture final : public net::LinkTap {
  public:
-  // Pre-sizes the transmission log and its id index for an expected packet
-  // count, so steady-state recording appends with no reallocation or rehash
-  // churn. Call once before the simulation starts; growth beyond the
-  // reservation falls back to the containers' own geometric resizing.
+  DirectionCapture() = default;
+  // A finished capture, as the trace readers rebuild it: every record already
+  // carries its fate, and its id is plain data. Counts the drops as losses.
+  explicit DirectionCapture(std::vector<Transmission> transmissions);
+
+  // Pre-sizes the transmission log for an expected packet count, so
+  // steady-state recording appends with no reallocation. Call once before
+  // the simulation starts; growth beyond the reservation falls back to the
+  // vector's own geometric resizing.
   void reserve(std::size_t expected_transmissions);
 
-  // Pre-sizes only the id→index table. Multi-flow scenarios draw packet ids
-  // from ONE shared counter, so every flow's table spans the whole
-  // scenario's id space — far beyond the flow's own transmission count that
-  // reserve() assumes.
-  void reserve_ids(std::size_t expected_ids);
-
+  // Live recording, joining each fate to its send by position under the
+  // net::LinkTap contracts (DESIGN.md §6f): ids increase along the sends, a
+  // drop fates the newest record, and a delivery first tries the record after
+  // the previous delivery, binary-searching by id only on a miss.
   void on_send(const Packet& packet, TimePoint when) override;
   void on_drop(const Packet& packet, TimePoint when, const DropCause& cause) override;
   void on_deliver(const Packet& packet, TimePoint sent, TimePoint arrived) override;
@@ -86,17 +89,13 @@ class DirectionCapture final : public net::LinkTap {
   Duration mean_transit() const;
 
  private:
-  // Index of the transmission record for `packet_id` (checked).
+  // Index of the record for `packet_id` in the id-sorted log (checked).
   std::size_t index_of(std::uint64_t packet_id) const;
 
-  // Packet id → index into txs_, plus one (0 = id unseen). Ids are assigned
-  // densely from 1 within a simulation (net::reset_packet_ids runs at flow
-  // start), so a flat vector replaces the former node-based hash map: the
-  // per-send lookup structure costs amortized-zero allocations and is
-  // pre-sizable by reserve().
-  std::vector<std::size_t> index_of_id_;
   std::vector<Transmission> txs_;
   std::uint64_t lost_ = 0;
+  // Where on_deliver looks first: the record after the previous delivery.
+  std::size_t next_delivery_ = 0;
 };
 
 // Dense slot numbers for the data seqs of one transmission log, so per-seq
@@ -149,11 +148,6 @@ struct FlowCapture {
   // reserve nor overcommit memory.
   void reserve_for(Duration duration, double data_rate_bps,
                    std::uint32_t mss_bytes);
-
-  // Companion to reserve_for in shared-bottleneck scenarios: pre-sizes both
-  // directions' id tables for `expected_ids` distinct packet ids (the whole
-  // scenario's traffic, all flows, both directions).
-  void reserve_id_space(std::size_t expected_ids);
 
   static constexpr std::size_t kMinReserveTx = 1024;
   static constexpr std::size_t kMaxReserveTx = std::size_t{1} << 20;

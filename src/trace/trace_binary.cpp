@@ -3,6 +3,7 @@
 #include "trace/trace_io.h"
 #include "util/crc32c.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -22,10 +23,9 @@ constexpr char kQuarantineFrame = 'Q';
 // larger than this is corruption, not data, and must not drive a giant
 // allocation in the reader.
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 36;  // 64 GiB
-// Ids are dense per flow (net::reset_packet_ids runs at flow start), so an
-// id beyond this bound is a decode gone off the rails; rejecting it keeps a
-// corrupt column from resizing the id index into oblivion.
-constexpr std::uint64_t kMaxPlausiblePacketId = std::uint64_t{1} << 40;
+// The reader fills a frame's payload buffer in steps of at most this many
+// bytes, so what a frame header declares never sizes an allocation alone.
+constexpr std::uint64_t kPayloadReadStep = std::uint64_t{1} << 20;  // 1 MiB
 
 // --- little-endian / varint primitives ---------------------------------------
 
@@ -212,87 +212,83 @@ util::Status frame_error(std::uint64_t frame, const std::string& why) {
                                         ": " + why);
 }
 
-// Inverse of put_rle: fills `out` from (count, value) pairs. Rejects zero or
-// overshooting run lengths so corrupt input cannot loop or scribble.
-bool get_rle(Cursor& c, std::vector<std::uint64_t>& out) {
+// Inverse of put_rle: `set` gives each record its run's value. Rejects zero
+// or overshooting run lengths so corrupt input cannot loop or scribble.
+template <typename Set>
+bool get_rle(Cursor& c, std::vector<Transmission>& txs, Set set) {
   std::size_t i = 0;
-  while (i < out.size()) {
+  while (i < txs.size()) {
     const std::uint64_t run = c.get_varint();
     const std::uint64_t value = c.get_varint();
-    if (c.fail || run == 0 || run > out.size() - i) return false;
-    for (std::uint64_t k = 0; k < run; ++k) out[i++] = value;
+    if (c.fail || run == 0 || run > txs.size() - i) return false;
+    for (std::uint64_t k = 0; k < run; ++k) set(txs[i++], value);
   }
   return true;
 }
 
-util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
+// Decodes one direction's columns straight into its records. The transit and
+// drop-cause columns follow the fate column's order, so no id join is needed.
+util::Status decode_direction(Cursor& c, std::uint64_t frame, net::PacketKind kind,
                               net::FlowId flow, DirectionCapture& cap) {
   // Every transmission costs at least one byte in each of the id, seq, ack
   // and sent delta columns, so a count above a quarter of the bytes left
-  // is corruption; rejecting it here keeps it from sizing the columns.
+  // is corruption; rejecting it here keeps it from sizing the records.
   const std::uint64_t n = c.get_varint();
   if (c.fail || n > c.remaining() / 4) {
     return frame_error(frame, "bad transmission count");
   }
-  const std::size_t count = static_cast<std::size_t>(n);
-
-  // Columns are decoded into flat scratch vectors first, then replayed
-  // through the capture's own on_send/on_deliver/on_drop so every derived
-  // counter (lost totals, id index) is rebuilt exactly as live taps build it.
-  std::vector<std::uint64_t> ids(count);
-  std::vector<std::uint64_t> seqs(count);
-  std::vector<std::uint64_t> acks(count);
-  std::vector<std::uint64_t> sizes(count);
-  std::vector<std::uint64_t> retx(count);
-  std::vector<std::uint64_t> sent(count);
-  std::vector<std::uint64_t> fates(count);
+  std::vector<Transmission> txs(static_cast<std::size_t>(n));
 
   std::uint64_t prev = 0;
-  for (auto& v : ids) v = c.get_delta(prev);
-  prev = 0;
-  for (auto& v : seqs) v = c.get_delta(prev);
-  prev = 0;
-  for (auto& v : acks) v = c.get_delta(prev);
-  if (!get_rle(c, sizes)) return frame_error(frame, "bad size run");
-  if (!get_rle(c, retx)) return frame_error(frame, "bad retx run");
-  prev = 0;
-  for (auto& v : sent) v = c.get_delta(prev);
-  if (!get_rle(c, fates)) return frame_error(frame, "bad fate run");
-  if (c.fail) return frame_error(frame, "truncated transmission columns");
-
-  cap.reserve(count);
-  std::uint64_t prev_transit = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (ids[i] > kMaxPlausiblePacketId) {
-      return frame_error(frame, "implausible packet id");
-    }
-    Packet p;
-    p.id = ids[i];
-    p.flow = flow;
-    p.kind = dir == 'D' ? net::PacketKind::kData : net::PacketKind::kAck;
-    p.seq = seqs[i];
-    p.ack_next = acks[i];
-    if (sizes[i] > std::numeric_limits<std::uint32_t>::max()) {
-      return frame_error(frame, "implausible packet size");
-    }
-    p.size_bytes = static_cast<std::uint32_t>(sizes[i]);
-    p.retx_count = static_cast<std::uint32_t>(retx[i]);
-    p.is_retransmission = p.retx_count > 0;
-
-    const TimePoint sent_at = TimePoint::from_ns(static_cast<std::int64_t>(sent[i]));
-    cap.on_send(p, sent_at);
-    if (fates[i] == 1) {
-      const std::uint64_t transit = c.get_delta(prev_transit);
-      cap.on_deliver(p, sent_at,
-                     sent_at + util::Duration::nanos(static_cast<std::int64_t>(transit)));
-    } else if (fates[i] > 2) {
-      return frame_error(frame, "bad fate tag");
-    }
+  for (auto& tx : txs) {
+    tx.packet.id = c.get_delta(prev);
+    tx.packet.flow = flow;
+    tx.packet.kind = kind;
   }
+  prev = 0;
+  for (auto& tx : txs) tx.packet.seq = c.get_delta(prev);
+  prev = 0;
+  for (auto& tx : txs) tx.packet.ack_next = c.get_delta(prev);
+  bool bad_size = false;
+  if (!get_rle(c, txs, [&bad_size](Transmission& tx, std::uint64_t v) {
+        bad_size |= v > std::numeric_limits<std::uint32_t>::max();
+        tx.packet.size_bytes = static_cast<std::uint32_t>(v);
+      })) {
+    return frame_error(frame, "bad size run");
+  }
+  if (!get_rle(c, txs, [](Transmission& tx, std::uint64_t v) {
+        tx.packet.retx_count = static_cast<std::uint32_t>(v);
+        tx.packet.is_retransmission = tx.packet.retx_count > 0;
+      })) {
+    return frame_error(frame, "bad retx run");
+  }
+  prev = 0;
+  for (auto& tx : txs) {
+    tx.sent = TimePoint::from_ns(static_cast<std::int64_t>(c.get_delta(prev)));
+  }
+  bool bad_fate = false;
+  if (!get_rle(c, txs, [&bad_fate](Transmission& tx, std::uint64_t v) {
+        if (v == 1) tx.arrived.emplace();
+        if (v == 2) tx.drop_cause.emplace();
+        bad_fate |= v > 2;
+      })) {
+    return frame_error(frame, "bad fate run");
+  }
+  if (c.fail) return frame_error(frame, "truncated transmission columns");
+  if (bad_size) return frame_error(frame, "implausible packet size");
+  if (bad_fate) return frame_error(frame, "bad fate tag");
 
-  for (std::size_t i = 0; i < count; ++i) {
-    if (fates[i] != 2) continue;
-    net::DropCause cause;
+  prev = 0;
+  for (auto& tx : txs) {
+    if (!tx.arrived) continue;
+    // Summed as u64 so that a corrupt transit wraps instead of overflowing.
+    const std::uint64_t transit = c.get_delta(prev);
+    const auto arrived = static_cast<std::uint64_t>(tx.sent.ns()) + transit;
+    tx.arrived = TimePoint::from_ns(static_cast<std::int64_t>(arrived));
+  }
+  for (auto& tx : txs) {
+    if (!tx.drop_cause) continue;
+    net::DropCause& cause = *tx.drop_cause;
     const std::uint8_t category = c.get_u8();
     if (category >= net::kDropCategoryCount) {
       return frame_error(frame, "bad drop category");
@@ -304,16 +300,21 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
     }
     cause.component_depth = depth;
     for (std::uint8_t d = 0; d < depth; ++d) {
-      cause.component_path[d] = static_cast<std::int16_t>(c.get_varint());
+      // The text format spells a component as a non-negative int16.
+      const std::uint64_t component = c.get_varint();
+      if (component > std::uint64_t{std::numeric_limits<std::int16_t>::max()}) {
+        return frame_error(frame, "bad component index");
+      }
+      cause.component_path[d] = static_cast<std::int16_t>(component);
     }
-    cause.directive = static_cast<std::int32_t>(c.get_varint()) - 1;
+    // Directives are stored plus one (0 = none), so the largest is 2^31.
+    const std::uint64_t directive = c.get_varint();
+    if (directive > std::uint64_t{1} << 31) return frame_error(frame, "bad directive");
+    cause.directive = static_cast<std::int32_t>(directive - 1);
     if (c.fail) return frame_error(frame, "truncated drop causes");
-
-    Packet p;
-    p.id = ids[i];
-    cap.on_drop(p, TimePoint::from_ns(static_cast<std::int64_t>(sent[i])), cause);
   }
   if (c.fail) return frame_error(frame, "truncated direction section");
+  cap = DirectionCapture(std::move(txs));
   return util::Status::ok();
 }
 
@@ -326,9 +327,10 @@ util::Status decode_flow_payload(const std::string& payload, std::uint64_t frame
   }
   cap.flow = static_cast<net::FlowId>(flow);
 
-  util::Status status = decode_direction(c, frame, 'D', cap.flow, cap.data);
+  util::Status status =
+      decode_direction(c, frame, net::PacketKind::kData, cap.flow, cap.data);
   if (!status.is_ok()) return status;
-  status = decode_direction(c, frame, 'A', cap.flow, cap.acks);
+  status = decode_direction(c, frame, net::PacketKind::kAck, cap.flow, cap.acks);
   if (!status.is_ok()) return status;
 
   // A fault record is at least nine bytes: three tags and six varints
@@ -518,14 +520,20 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   if (payload_size > kMaxFramePayload) {
     return frame_error(frame_index, "implausible frame size (corrupt archive)");
   }
-  payload_.resize(static_cast<std::size_t>(payload_size));
-  is_.read(payload_.data(), static_cast<std::streamsize>(payload_size));
-  if (is_.gcount() != static_cast<std::streamsize>(payload_size)) {
-    // The writer died (or the copy was cut) mid-frame: drop the torn tail,
-    // keep everything before it — same contract as the text reader's
-    // torn-final-line tolerance.
-    torn_ = true;
-    return Frame::kTorn;
+  payload_.clear();
+  while (payload_.size() < payload_size) {
+    const std::size_t have = payload_.size();
+    const std::size_t step = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kPayloadReadStep, payload_size - have));
+    payload_.resize(have + step);
+    is_.read(payload_.data() + have, static_cast<std::streamsize>(step));
+    if (is_.gcount() != static_cast<std::streamsize>(step)) {
+      // The writer died (or the copy was cut) mid-frame: drop the torn
+      // tail, keep everything before it — same contract as the text
+      // reader's torn-final-line tolerance.
+      torn_ = true;
+      return Frame::kTorn;
+    }
   }
 
   std::uint32_t crc = util::crc32c(0, &type, 1);

@@ -11,7 +11,9 @@
 // times smaller and much faster to write and read. The two formats are
 // losslessly interconvertible: the binary reader rebuilds the exact
 // FlowCapture the text writer would serialize, byte for byte (pinned by
-// tests and `trace_query convert`).
+// tests and `trace_query convert`). That holds for any packet ids, repeated
+// ones included: both readers build each record with its own fate, by
+// position, and never look a record up by id.
 //
 // hsrtrace-b2 is the only binary format; there is one writer and one
 // reader. File layout:

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace hsr::trace {
@@ -153,9 +154,10 @@ bool parse_drop_token(const std::string& token, std::optional<net::DropCause>& o
   return true;
 }
 
-// Parses one `D`/`A` transmission line (tokens past the direction marker).
+// Parses one `D`/`A` transmission line into a record appended to `out`.
 util::Status parse_transmission(const std::vector<std::string>& tokens,
-                                std::size_t line_number, FlowCapture& cap) {
+                                std::size_t line_number, net::FlowId flow,
+                                std::vector<Transmission>& out) {
   if (tokens.size() != 9) {
     return line_error(line_number, tokens.empty() ? "" : tokens.back(),
                       "expected 9 fields, got " + std::to_string(tokens.size()));
@@ -186,21 +188,21 @@ util::Status parse_transmission(const std::vector<std::string>& tokens,
     return line_error(line_number, tokens[8], "bad retx count");
   }
 
-  const char dir = tokens[0][0];
-  p.flow = cap.flow;
-  p.kind = (dir == 'D') ? net::PacketKind::kData : net::PacketKind::kAck;
+  p.flow = flow;
+  p.kind = tokens[0] == "D" ? net::PacketKind::kData : net::PacketKind::kAck;
   p.retx_count = retx;
   p.is_retransmission = retx > 0;
 
-  DirectionCapture& target = (dir == 'D') ? cap.data : cap.acks;
-  target.on_send(p, TimePoint::from_ns(sent_ns));
+  Transmission& tx = out.emplace_back();
+  tx.packet = p;
+  tx.sent = TimePoint::from_ns(sent_ns);
   if (arrived_ns >= 0) {
-    target.on_deliver(p, TimePoint::from_ns(sent_ns), TimePoint::from_ns(arrived_ns));
-  } else if (cause) {
-    target.on_drop(p, TimePoint::from_ns(sent_ns), *cause);
+    tx.arrived = TimePoint::from_ns(arrived_ns);
+  } else {
+    // A lost packet keeps its cause; drop == '-' leaves none: the packet was
+    // still in flight when the capture ended, neither delivered nor lost.
+    tx.drop_cause = cause;
   }
-  // drop == '-' with no arrival: the packet was still in flight when the
-  // capture ended; it is neither delivered nor lost.
   return util::Status::ok();
 }
 
@@ -282,6 +284,8 @@ util::StatusOr<FlowCapture> read_flow_capture(std::istream& is) {
     }
     FlowCapture cap;
     cap.flow = flow;
+    std::vector<Transmission> data;
+    std::vector<Transmission> acks;
 
     while (std::getline(is, line)) {
       ++line_number;
@@ -293,7 +297,8 @@ util::StatusOr<FlowCapture> read_flow_capture(std::istream& is) {
       const std::vector<std::string> tokens = split_tokens(line);
       util::Status status = util::Status::ok();
       if (tokens[0] == "D" || tokens[0] == "A") {
-        status = parse_transmission(tokens, line_number, cap);
+        status = parse_transmission(tokens, line_number, flow,
+                                    tokens[0] == "D" ? data : acks);
       } else if (tokens[0] == "F") {
         status = parse_fault(tokens, line_number, cap);
       } else {
@@ -309,6 +314,8 @@ util::StatusOr<FlowCapture> read_flow_capture(std::istream& is) {
         return status;
       }
     }
+    cap.data = DirectionCapture(std::move(data));
+    cap.acks = DirectionCapture(std::move(acks));
     return cap;
   }
 }

@@ -102,21 +102,6 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     capture.reserve_for(spec.duration,
                         down_cfg.rate_bps / static_cast<double>(n),
                         resolved[i].tcp.mss_bytes);
-    // All flows draw packet ids from ONE shared counter, so every flow's
-    // id→index table spans the whole scenario's traffic — data sends plus
-    // ACKs, bounded by 2x the saturated-link segment count — not just this
-    // flow's share. Undershooting here costs resize doublings mid-run,
-    // which the steady-state zero-allocation contract forbids.
-    const double total_segments =
-        spec.duration.to_seconds() * down_cfg.rate_bps /
-        (8.0 * static_cast<double>(resolved[i].tcp.mss_bytes));
-    const double total_ids = total_segments * 2.5;
-    capture.reserve_id_space(std::clamp(
-        total_ids >= static_cast<double>(4 * trace::FlowCapture::kMaxReserveTx)
-            ? 4 * trace::FlowCapture::kMaxReserveTx
-            : static_cast<std::size_t>(total_ids),
-        2 * trace::FlowCapture::kMinReserveTx,
-        4 * trace::FlowCapture::kMaxReserveTx));
 
     std::unique_ptr<net::ChannelModel> down = env.make_channel(
         radio::Direction::kDownlink,

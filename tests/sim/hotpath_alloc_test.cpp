@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "analysis/flow_analysis.h"
@@ -16,6 +19,7 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
+#include "trace/trace_binary.h"
 #include "util/inline_function.h"
 #include "workload/multi_flow.h"
 #include "workload/scenario.h"
@@ -246,6 +250,35 @@ TEST(AnalyzeFlowAllocTest, AllocationsPerCallStayConstantWithCaptureLength) {
   ASSERT_GT(transmissions[1], 3 * transmissions[0]);
   EXPECT_LE(allocs[1], allocs[0]) << "allocations grew with capture length: " << allocs[0]
                                    << " -> " << allocs[1];
+}
+
+// A frame header is read before its payload, so a forged payload length must
+// not size the payload buffer: the reader grows it only as bytes arrive, and
+// a frame longer than the stream is a torn tail.
+TEST(BinaryTraceReaderAllocTest, ForgedFrameLengthCostsOnlyTheBytesPresent) {
+  std::ostringstream os;
+  trace::write_binary_trace_header(os, 1);
+  std::string bytes = os.str();
+  bytes.push_back('F');
+  bytes.append(4, '\0');  // crc32c: never reached
+  const auto put_u64le = [&bytes](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  };
+  put_u64le(0);                         // seq
+  put_u64le(std::uint64_t{1} << 30);   // declared payload: 1 GiB, none present
+  ASSERT_EQ(bytes.size(), 41u);
+
+  std::istringstream in(bytes);
+  trace::BinaryTraceReader reader(in);
+  ASSERT_TRUE(reader.open().is_ok());
+  trace::FlowCapture flow;
+  trace::QuarantineRecord quarantine;
+  AllocProbe::Scope scope;
+  const auto frame = reader.next(&flow, &quarantine);
+  const std::uint64_t requested = scope.bytes_delta();
+  ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+  EXPECT_EQ(frame.value(), trace::BinaryTraceReader::Frame::kTorn);
+  EXPECT_LE(requested, std::uint64_t{2} << 20);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace hsr::trace {
 namespace {
 
@@ -50,6 +54,54 @@ TEST(DirectionCaptureTest, MeanTransitOverDeliveredOnly) {
   cap.on_send(data(3, 3), TimePoint::from_ns(0));
   cap.on_drop(data(3, 3), TimePoint::from_ns(0), DropCause::queue_overflow());
   EXPECT_EQ(cap.mean_transit(), util::Duration::nanos(200));
+}
+
+TEST(DirectionCaptureTest, ReorderedAndDuplicateDeliveriesLandOnTheirRecords) {
+  // Ids with gaps, as a shared multi-flow counter hands them out. Segment k
+  // has id 10k and arrives at 100k ns; segment 3 is dropped at send.
+  DirectionCapture cap;
+  for (std::uint64_t k = 1; k <= 6; ++k) {
+    cap.on_send(data(10 * k, k), TimePoint::from_ns(static_cast<std::int64_t>(k)));
+    if (k == 3) {
+      cap.on_drop(data(30, 3), TimePoint::from_ns(3), DropCause::queue_overflow());
+    }
+  }
+  // Out of order, with a duplicate copy of segment 1 after later ones.
+  for (const std::uint64_t k : {2u, 1u, 4u, 1u, 6u, 5u}) {
+    cap.on_deliver(data(10 * k, k), TimePoint::from_ns(static_cast<std::int64_t>(k)),
+                   TimePoint::from_ns(static_cast<std::int64_t>(100 * k)));
+  }
+
+  const auto& txs = cap.transmissions();
+  ASSERT_EQ(txs.size(), 6u);
+  for (std::uint64_t k = 1; k <= 6; ++k) {
+    const Transmission& tx = txs[k - 1];
+    EXPECT_EQ(tx.packet.id, 10 * k);
+    if (k == 3) {
+      EXPECT_TRUE(tx.lost());
+      EXPECT_EQ(tx.drop_cause, DropCause::queue_overflow());
+    } else {
+      EXPECT_EQ(tx.arrived, TimePoint::from_ns(static_cast<std::int64_t>(100 * k)))
+          << k;
+      EXPECT_FALSE(tx.drop_cause.has_value()) << k;
+    }
+  }
+  EXPECT_EQ(cap.lost_count(), 1u);
+}
+
+TEST(DirectionCaptureTest, BuiltFromRecordsCountsDrops) {
+  // Records as a trace reader rebuilds them: fates already set, ids plain
+  // data (repeated and decreasing here).
+  std::vector<Transmission> txs(3);
+  txs[0].packet = data(7, 1);
+  txs[0].arrived = TimePoint::from_ns(10);
+  txs[1].packet = data(7, 1);
+  txs[1].drop_cause = DropCause::bernoulli();
+  txs[2].packet = data(3, 2);  // in flight: neither delivered nor lost
+  const DirectionCapture cap(std::move(txs));
+  EXPECT_EQ(cap.sent_count(), 3u);
+  EXPECT_EQ(cap.lost_count(), 1u);
+  EXPECT_EQ(cap.transmissions()[1].drop_cause, DropCause::bernoulli());
 }
 
 TEST(DirectionCaptureTest, EmptyCaptureIsSafe) {
@@ -131,6 +183,30 @@ TEST(DirectionCaptureDeathTest, DropForUnseenPacketAborts) {
   DirectionCapture cap;
   EXPECT_DEATH(cap.on_drop(data(99, 1), TimePoint::zero(), DropCause::bernoulli()),
                "unseen");
+}
+
+TEST(DirectionCaptureDeathTest, DeliveryForUnseenPacketAborts) {
+  DirectionCapture cap;
+  cap.on_send(data(1, 1), TimePoint::zero());
+  EXPECT_DEATH(cap.on_deliver(data(2, 2), TimePoint::zero(), TimePoint::from_ns(5)),
+               "fate report for unseen packet");
+}
+
+TEST(DirectionCaptureDeathTest, SendWithNonIncreasingIdAborts) {
+  DirectionCapture cap;
+  cap.on_send(data(5, 1), TimePoint::zero());
+  EXPECT_DEATH(cap.on_send(data(5, 2), TimePoint::zero()), "non-increasing packet id");
+  EXPECT_DEATH(cap.on_send(data(4, 2), TimePoint::zero()), "non-increasing packet id");
+}
+
+TEST(DirectionCaptureDeathTest, DropOfAnOlderSendAborts) {
+  // Link::send reports a drop right after its on_send, so a drop always
+  // fates the newest record.
+  DirectionCapture cap;
+  cap.on_send(data(1, 1), TimePoint::zero());
+  cap.on_send(data(2, 2), TimePoint::zero());
+  EXPECT_DEATH(cap.on_drop(data(1, 1), TimePoint::zero(), DropCause::bernoulli()),
+               "other than the newest send");
 }
 
 }  // namespace

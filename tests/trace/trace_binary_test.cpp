@@ -297,6 +297,138 @@ TEST(TraceBinaryTest, FaultCountBeyondThePayloadIsRejectedBeforeAllocating) {
       << corpus.status().to_string();
 }
 
+// Packet ids are archived data, not table indices: any u64 id decodes,
+// verifies and re-encodes to the same bytes.
+TEST(TraceBinaryTest, AnyPacketIdDecodesVerifiesAndReencodesIdentically) {
+  for (const std::uint64_t id : {std::uint64_t{200'000'000'000}, ~std::uint64_t{0}}) {
+    Transmission tx;
+    tx.packet.id = id;
+    tx.packet.flow = 1;
+    tx.packet.seq = 1;
+    tx.packet.size_bytes = 1400;
+    tx.sent = TimePoint::from_ns(1000);
+    tx.arrived = TimePoint::from_ns(31000);
+    FlowCapture cap;
+    cap.flow = 1;
+    cap.data = DirectionCapture({tx});
+    const std::string bytes = binary_corpus_of(cap);
+
+    const std::string path = "trace_binary_test_large_id.b2";
+    {
+      std::ofstream f(path, std::ios::binary);
+      f << bytes;
+    }
+    const auto verified = verify_trace_file(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(verified.is_ok()) << id << ": " << verified.status().to_string();
+    EXPECT_TRUE(verified.value().intact);
+
+    std::istringstream in(bytes);
+    const auto corpus = read_binary_corpus(in);
+    ASSERT_TRUE(corpus.is_ok()) << id << ": " << corpus.status().to_string();
+    ASSERT_EQ(corpus.value().flows.size(), 1u);
+    const FlowCapture& decoded = corpus.value().flows[0];
+    ASSERT_EQ(decoded.data.sent_count(), 1u);
+    EXPECT_EQ(decoded.data.transmissions()[0].packet.id, id);
+    EXPECT_EQ(binary_corpus_of(decoded), bytes);
+  }
+}
+
+// Each record keeps its own fate when a direction repeats a packet id (a
+// hand-edited or foreign archive): the drop stays on the first record, the
+// delivery on the second, and the conversion is lossless both ways.
+TEST(TraceBinaryTest, RepeatedPacketIdRoundTripsTextToBinaryToText) {
+  const std::string text =
+      "hsrtrace-v2 flow=1\n"
+      "D 5 1 0 1400 1000 -1 B 0\n"
+      "D 5 1 0 1400 2000 32000 - 1\n"
+      "D 6 2 0 1400 3000 -1 - 0\n";
+  std::istringstream text_in(text);
+  const auto loaded = read_flow_capture(text_in);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+
+  std::istringstream bin(binary_corpus_of(loaded.value()));
+  const auto corpus = read_binary_corpus(bin);
+  ASSERT_TRUE(corpus.is_ok()) << corpus.status().to_string();
+  ASSERT_EQ(corpus.value().flows.size(), 1u);
+  EXPECT_EQ(text_of(corpus.value().flows[0]), text);
+  EXPECT_EQ(corpus.value().flows[0].data.lost_count(), 1u);
+}
+
+// A data direction of one transmission dropped with the cause bytes
+// `cause`, then no ACKs and no faults.
+std::string archive_with_drop_cause(const std::string& cause) {
+  const std::string data_direction =
+      varint(1) +                    // one transmission
+      varint(2) + varint(2) +        // id 1, seq 1 (zigzag deltas)
+      varint(0) +                    // ack_next 0
+      varint(1) + varint(1400) +     // size run
+      varint(1) + varint(0) +        // retx run
+      varint(0) +                    // sent at 0
+      varint(1) + varint(2) +        // fate run: dropped
+      cause;
+  return archive_around(varint(1) + data_direction + varint(0) + varint(0));
+}
+
+// Category, depth and components of a Bernoulli drop, before the directive.
+std::string bernoulli_at(std::uint64_t component) {
+  return std::string{static_cast<char>(net::DropCategory::kBernoulli), '\x01'} +
+         varint(component);
+}
+
+// Reads `bytes` as a corpus and verifies them as the file `path` (one name
+// per test: ctest runs the tests in parallel in one directory).
+util::Status read_and_verify(const std::string& bytes, const std::string& path,
+                             std::string* text) {
+  std::istringstream in(bytes);
+  const auto corpus = read_binary_corpus(in);
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << bytes;
+  }
+  const auto verified = verify_trace_file(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(corpus.status().to_string(), verified.status().to_string());
+  if (!corpus.is_ok()) return corpus.status();
+  *text = text_of(corpus.value().flows.at(0));
+  return util::Status::ok();
+}
+
+// The text format spells a component as a non-negative int16; a larger
+// one would decode, then print as a negative index the text reader rejects.
+TEST(TraceBinaryTest, ComponentBeyondInt16IsRejected) {
+  const std::string path = "trace_binary_test_component.b2";
+  std::string text;
+  ASSERT_TRUE(read_and_verify(archive_with_drop_cause(bernoulli_at(32767) + varint(0)),
+                              path, &text)
+                  .is_ok());
+  EXPECT_NE(text.find(" B@32767 "), std::string::npos) << text;
+
+  const util::Status status = read_and_verify(
+      archive_with_drop_cause(bernoulli_at(40000) + varint(0)), path, &text);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_NE(status.message().find("frame 0: bad component index"), std::string::npos)
+      << status.to_string();
+}
+
+// Directives are archived plus one, so the stored value 2^31 is the largest
+// int32 directive and anything above it cannot be spelled.
+TEST(TraceBinaryTest, DirectiveBeyondInt32IsRejected) {
+  const std::uint64_t largest = std::uint64_t{1} << 31;
+  const std::string path = "trace_binary_test_directive.b2";
+  std::string text;
+  ASSERT_TRUE(read_and_verify(archive_with_drop_cause(bernoulli_at(0) + varint(largest)),
+                              path, &text)
+                  .is_ok());
+  EXPECT_NE(text.find(" B@0#2147483647 "), std::string::npos) << text;
+
+  const std::string beyond = archive_with_drop_cause(bernoulli_at(0) + varint(largest + 1));
+  const util::Status status = read_and_verify(beyond, path, &text);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_NE(status.message().find("frame 0: bad directive"), std::string::npos)
+      << status.to_string();
+}
+
 TEST(TraceBinaryTest, QuarantineFramesRoundTrip) {
   QuarantineRecord rec;
   rec.flow_index = 42;

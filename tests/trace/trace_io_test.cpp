@@ -312,6 +312,23 @@ TEST(TraceIoTest, WrongFieldCountNamesTheLine) {
   EXPECT_NE(loaded.status().message().find("expected 9 fields"), std::string::npos);
 }
 
+// Packet ids are plain data to the reader: a record is built per line, so
+// no id ever sizes a table.
+TEST(TraceIoTest, AnyPacketIdLoadsAndRoundTrips) {
+  const std::string text =
+      "hsrtrace-v2 flow=1\n"
+      "D 4611686018427387904 1 0 1400 1000 31000 - 0\n";
+  std::stringstream in(text);
+  auto loaded = read_flow_capture(in);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded.value().data.sent_count(), 1u);
+  EXPECT_EQ(loaded.value().data.transmissions()[0].packet.id, std::uint64_t{1} << 62);
+
+  std::stringstream out;
+  write_flow_capture(out, loaded.value());
+  EXPECT_EQ(out.str(), text);
+}
+
 // --- Truncation tolerance -----------------------------------------------------
 
 TEST(TraceIoTest, TruncatedFinalLineIsTolerated) {
