@@ -1,7 +1,7 @@
 // Canonical hot-path benchmark: the per-PR perf trajectory record.
 //
 // Measures the simulation core's steady-state costs — event schedule/fire,
-// timer reschedule, cancel churn (all in events or ops per second, with
+// timer re-arm and timer arm/cancel (all in events or ops per second, with
 // allocations per operation counted by the alloc probe), an end-to-end
 // paper-scale flow (events/sec and flows/sec) and the §III flow analysis of
 // the lossy flow's capture (analyze_flow calls/sec and allocations per
@@ -13,12 +13,14 @@
 //   ./bench_hotpath --quick         # CI smoke: small op counts, short flow
 //   python3 tools/bench_compare.py baseline.json current.json
 //
-// JSON schema (schema_version 4; v3 added the lossy-flow metrics — a
+// JSON schema (schema_version 5; v3 added the lossy-flow metrics — a
 // SACK-enabled flow under scripted burst loss — and made the flow
 // allocation ratios steady-state probe-window measurements, pinned at
 // exactly 0; v4 added analysis_flows_per_s and analysis_allocs_per_flow,
-// analysis::analyze_flow over the lossy flow's capture): top-level run
-// metadata, a flat
+// analysis::analyze_flow over the lossy flow's capture; v5 retired
+// reschedule_* and cancel_churn_*, whose queue APIs are gone, for
+// timer_rearm_* and timer_arm_cancel_*, sim::Timer driven by a 1 ms tick):
+// top-level run metadata, a flat
 // "metrics" object holding the best-of-N values, and a "spread" object
 // recording min/max/mean/stddev of every throughput metric across the N
 // reps. Keys ending in "_per_s" are throughputs (higher is better); keys
@@ -45,12 +47,14 @@
 #include "radio/profiles.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "workload/scenario.h"
 
 namespace {
 
 using hsr::sim::EventQueue;
 using hsr::util::AllocProbe;
+using hsr::util::Duration;
 using hsr::util::TimePoint;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -159,50 +163,46 @@ SectionResult bench_burst_fire(std::uint64_t ops) {
   return r;
 }
 
-// ACK-clocked RTO re-arm: one live timer moved in place over a background
-// population (the EventQueue::reschedule fast path).
-SectionResult bench_reschedule(std::uint64_t ops) {
-  EventQueue q;
-  for (int i = 0; i < 256; ++i) {
-    q.schedule(TimePoint::from_ns(1'000'000 + i), [] {});
-  }
-  const hsr::sim::EventHandle timer = q.schedule(TimePoint::from_ns(2'000'000), [] {});
-  for (std::uint64_t i = 1; i <= 1024; ++i) {  // warm-up: compaction high-water
-    q.reschedule(timer, TimePoint::from_ns(2'000'000 + static_cast<std::int64_t>(i)));
-  }
+// A tick event every simulated millisecond runs `on_tick` on one timer, the
+// way ACK arrivals drive TCP's timers; an op is one tick. The clock moves,
+// so the timer's wake-ups surface, re-post or retire inside the measured
+// loop.
+template <class OnTick>
+SectionResult bench_timer_ticks(std::uint64_t ops, OnTick on_tick) {
+  constexpr std::uint64_t kWarmup = 1024;
+  hsr::sim::Simulator sim;
+  hsr::sim::Timer timer(sim, [] {});
+  std::uint64_t ticks = 0;
+  const auto tick = [&](const auto& self) -> void {
+    on_tick(timer);
+    if (++ticks < ops) sim.after(Duration::millis(1), [&self] { self(self); });
+  };
+  sim.at(TimePoint::zero(), [&tick] { tick(tick); });
+  sim.run_until(TimePoint::zero() + Duration::millis(kWarmup - 1));  // warm-up
   AllocProbe::Scope scope;
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 1025; i <= ops; ++i) {
-    q.reschedule(timer, TimePoint::from_ns(2'000'000 + static_cast<std::int64_t>(i)));
-  }
+  sim.run();
   const double wall = seconds_since(t0);
   SectionResult r;
-  r.ops_per_s = static_cast<double>(ops - 1024) / wall;
+  r.ops_per_s = static_cast<double>(ops - kWarmup) / wall;
   r.allocs_per_op =
-      static_cast<double>(scope.news_delta()) / static_cast<double>(ops - 1024);
+      static_cast<double>(scope.news_delta()) / static_cast<double>(ops - kWarmup);
   return r;
 }
 
-// Schedule + cancel under a long-lived survivor: the tombstone/compaction
-// path.
-SectionResult bench_cancel_churn(std::uint64_t ops) {
-  EventQueue q;
-  q.schedule(TimePoint::from_ns(std::int64_t{1} << 60), [] {});
-  auto churn = [&](std::uint64_t i) {
-    hsr::sim::EventHandle h =
-        q.schedule(TimePoint::from_ns(2'000'000 + static_cast<std::int64_t>(i)), [] {});
-    h.cancel();
-  };
-  for (std::uint64_t i = 0; i < 1024; ++i) churn(i);  // warm-up
-  AllocProbe::Scope scope;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 1024; i < ops; ++i) churn(i);
-  const double wall = seconds_since(t0);
-  SectionResult r;
-  r.ops_per_s = static_cast<double>(ops - 1024) / wall;
-  r.allocs_per_op =
-      static_cast<double>(scope.news_delta()) / static_cast<double>(ops - 1024);
-  return r;
+// ACK-clocked RTO: every tick re-arms a 200 ms timer, so its wake-up finds
+// the deadline moved and re-posts itself once per 200 ticks.
+SectionResult bench_timer_rearm(std::uint64_t ops) {
+  return bench_timer_ticks(ops, [](hsr::sim::Timer& t) { t.arm(Duration::millis(200)); });
+}
+
+// Delayed ACK: every tick arms a 40 ms timer and cancels it again, so a
+// wake-up surfaces idle once per 40 ticks and the next arm posts a new one.
+SectionResult bench_timer_arm_cancel(std::uint64_t ops) {
+  return bench_timer_ticks(ops, [](hsr::sim::Timer& t) {
+    t.arm(Duration::millis(40));
+    t.cancel();
+  });
 }
 
 struct FlowResult {
@@ -311,12 +311,12 @@ int main(int argc, char** argv) {
   const SectionRuns bf = best_of(reps, [&] { return bench_burst_fire(ops); });
   std::cout << "burst(512)+drain   " << bf.best.ops_per_s << " events/s  "
             << bf.best.allocs_per_op << " allocs/event\n";
-  const SectionRuns rs = best_of(reps, [&] { return bench_reschedule(ops); });
-  std::cout << "reschedule         " << rs.best.ops_per_s << " ops/s     "
-            << rs.best.allocs_per_op << " allocs/op\n";
-  const SectionRuns cc = best_of(reps, [&] { return bench_cancel_churn(ops); });
-  std::cout << "cancel churn       " << cc.best.ops_per_s << " ops/s     "
-            << cc.best.allocs_per_op << " allocs/op\n";
+  const SectionRuns tr = best_of(reps, [&] { return bench_timer_rearm(ops); });
+  std::cout << "timer re-arm       " << tr.best.ops_per_s << " ops/s     "
+            << tr.best.allocs_per_op << " allocs/op\n";
+  const SectionRuns ta = best_of(reps, [&] { return bench_timer_arm_cancel(ops); });
+  std::cout << "timer arm+cancel   " << ta.best.ops_per_s << " ops/s     "
+            << ta.best.allocs_per_op << " allocs/op\n";
   FlowResult fl = bench_flow(flow_secs, bench::seed());
   std::vector<double> flow_events_reps{fl.events_per_s};
   std::vector<double> flow_flows_reps{fl.flows_per_s};
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
   };
   json << "{\n"
        << "  \"bench\": \"hotpath\",\n"
-       << "  \"schema_version\": 4,\n"
+       << "  \"schema_version\": 5,\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"seed\": " << bench::seed() << ",\n"
@@ -377,10 +377,10 @@ int main(int argc, char** argv) {
        << "    \"schedule_fire_allocs_per_event\": " << sf.best.allocs_per_op << ",\n"
        << "    \"burst_fire_events_per_s\": " << bf.best.ops_per_s << ",\n"
        << "    \"burst_fire_allocs_per_event\": " << bf.best.allocs_per_op << ",\n"
-       << "    \"reschedule_ops_per_s\": " << rs.best.ops_per_s << ",\n"
-       << "    \"reschedule_allocs_per_op\": " << rs.best.allocs_per_op << ",\n"
-       << "    \"cancel_churn_ops_per_s\": " << cc.best.ops_per_s << ",\n"
-       << "    \"cancel_churn_allocs_per_op\": " << cc.best.allocs_per_op << ",\n"
+       << "    \"timer_rearm_ops_per_s\": " << tr.best.ops_per_s << ",\n"
+       << "    \"timer_rearm_allocs_per_op\": " << tr.best.allocs_per_op << ",\n"
+       << "    \"timer_arm_cancel_ops_per_s\": " << ta.best.ops_per_s << ",\n"
+       << "    \"timer_arm_cancel_allocs_per_op\": " << ta.best.allocs_per_op << ",\n"
        << "    \"flow_events_per_s\": " << fl.events_per_s << ",\n"
        << "    \"flows_per_s\": " << fl.flows_per_s << ",\n"
        << "    \"flow_allocs_per_event\": " << fl.allocs_per_event << ",\n"
@@ -392,8 +392,8 @@ int main(int argc, char** argv) {
        << "  \"spread\": {\n";
   spread_entry("schedule_fire_events_per_s", sf.ops, ",");
   spread_entry("burst_fire_events_per_s", bf.ops, ",");
-  spread_entry("reschedule_ops_per_s", rs.ops, ",");
-  spread_entry("cancel_churn_ops_per_s", cc.ops, ",");
+  spread_entry("timer_rearm_ops_per_s", tr.ops, ",");
+  spread_entry("timer_arm_cancel_ops_per_s", ta.ops, ",");
   spread_entry("flow_events_per_s", flow_events_spread, ",");
   spread_entry("flows_per_s", flow_flows_spread, ",");
   spread_entry("lossy_flow_events_per_s", lossy_events_spread, ",");

@@ -33,84 +33,6 @@ static void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
 
-namespace {
-
-// Shared shape of the RTO re-arm workload: a standing population of
-// in-flight events (a busy link's transmissions) plus one timer that is
-// re-armed once per simulated ACK. `rearm` is the number of ACK-clocked
-// re-arms; the two variants below differ only in how the re-arm is done.
-constexpr int kRearmBackground = 256;
-
-sim::EventHandle rearm_setup(sim::EventQueue& q) {
-  for (int i = 0; i < kRearmBackground; ++i) {
-    q.schedule(util::TimePoint::from_ns(1'000'000 + i), [] {});
-  }
-  return q.schedule(util::TimePoint::from_ns(2'000'000), [] {});
-}
-
-void rearm_drain(sim::EventQueue& q, benchmark::State& state) {
-  while (!q.empty()) q.pop_and_run();
-  state.counters["tombstone_ratio"] = benchmark::Counter(
-      static_cast<double>(q.pruned_tombstones_total()) /
-      static_cast<double>(q.scheduled_total()));
-  state.counters["compactions"] =
-      benchmark::Counter(static_cast<double>(q.compactions_total()));
-}
-
-}  // namespace
-
-// Baseline re-arm: cancel the pending timer and schedule a replacement.
-// Every re-arm allocates a fresh std::function and leaves a tombstone.
-static void BM_EventQueueRearmCancelSchedule(benchmark::State& state) {
-  const int rearm = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    sim::EventHandle timer = rearm_setup(q);
-    for (int i = 1; i <= rearm; ++i) {
-      timer.cancel();
-      timer = q.schedule(util::TimePoint::from_ns(2'000'000 + i), [] {});
-    }
-    rearm_drain(q, state);
-  }
-  state.SetItemsProcessed(state.iterations() * rearm);
-}
-BENCHMARK(BM_EventQueueRearmCancelSchedule)->Arg(10000);
-
-// Fast-path re-arm: reschedule() moves the pending event in place — no
-// allocation, no action re-construction, same tombstone accounting.
-static void BM_EventQueueRearmReschedule(benchmark::State& state) {
-  const int rearm = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    const sim::EventHandle timer = rearm_setup(q);
-    for (int i = 1; i <= rearm; ++i) {
-      q.reschedule(timer, util::TimePoint::from_ns(2'000'000 + i));
-    }
-    rearm_drain(q, state);
-  }
-  state.SetItemsProcessed(state.iterations() * rearm);
-}
-BENCHMARK(BM_EventQueueRearmReschedule)->Arg(10000);
-
-// Cancel-heavy churn without re-arm: every event is scheduled then killed
-// under a long-lived survivor, the pattern that makes lazy cancellation
-// degenerate without compaction.
-static void BM_EventQueueCancelChurn(benchmark::State& state) {
-  const int churn = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    q.schedule(util::TimePoint::from_ns(10'000'000), [] {});
-    for (int i = 0; i < churn; ++i) {
-      sim::EventHandle h =
-          q.schedule(util::TimePoint::from_ns(20'000'000 + i), [] {});
-      h.cancel();
-    }
-    rearm_drain(q, state);
-  }
-  state.SetItemsProcessed(state.iterations() * churn);
-}
-BENCHMARK(BM_EventQueueCancelChurn)->Arg(10000);
-
 // The pipe estimate the sender runs on EVERY ACK: how many segments below
 // snd_next are SACKed. Both variants build a half-full scoreboard over a
 // `window`-segment in-flight span (every other sequence marked — the worst

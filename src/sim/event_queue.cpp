@@ -6,40 +6,27 @@
 
 namespace hsr::sim {
 
-bool EventHandle::pending() const {
-  return queue_ != nullptr && queue_->handle_pending(*this);
-}
-
 bool EventHandle::cancel() {
   return queue_ != nullptr && queue_->cancel_handle(*this);
 }
 
 void EventQueue::reserve(std::size_t expected_pending) {
   slots_.reserve(expected_pending);
-  heap_.reserve(expected_pending * 2);
+  heap_.reserve(expected_pending);
 }
 
-// HSR_HOT_PATH_BEGIN — schedule/reschedule/cancel and the slab bookkeeping
-// they ride on run once per simulated packet/timer; the steady state must
-// not allocate (pinned dynamically by sim.hotpath_alloc, gated statically
-// by hsr-lint's hotpath family).
-bool EventQueue::handle_pending(const EventHandle& h) const {
+// HSR_HOT_PATH_BEGIN — schedule/cancel/pop and the slab bookkeeping they
+// ride on run once per simulated packet/timer; the steady state must not
+// allocate (pinned dynamically by sim.hotpath_alloc, gated statically by
+// hsr-lint's hotpath family).
+bool EventQueue::cancel_handle(const EventHandle& h) {
   // An inert (default-constructed) or foreign-queue handle must never match:
   // its slot/generation pair would alias an unrelated event in this queue.
-  if (h.queue_ != this) return false;
-  if (h.slot_ >= slots_.size()) return false;
-  const Slot& s = slots_[h.slot_];
-  return s.generation == h.generation_ && s.live;
-}
-
-bool EventQueue::cancel_handle(const EventHandle& h) {
-  if (!handle_pending(h)) return false;
+  if (h.queue_ != this || h.slot_ >= slots_.size()) return false;
   Slot& s = slots_[h.slot_];
-  s.live = false;
-  // Release captured state now rather than when the tombstone surfaces.
+  if (s.generation != h.generation_ || !s.action) return false;
+  // Release captured state now rather than when the entry surfaces.
   s.action = nullptr;
-  ++tombstones_in_heap_;
-  maybe_compact();
   return true;
 }
 
@@ -54,127 +41,56 @@ std::uint32_t EventQueue::acquire_slot() {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void EventQueue::release_slot(std::uint32_t index) const {
+void EventQueue::release_slot(std::uint32_t index) {
   Slot& s = slots_[index];
-  s.live = false;
   s.action = nullptr;
   ++s.generation;  // outstanding handles to this slot become inert
   s.next_free = free_head_;
   free_head_ = index;
 }
 
-void EventQueue::push_entry(TimePoint when, std::uint64_t seq,
-                            std::uint32_t slot) const {
-  heap_.push_back(HeapEntry{when, seq, slot});  // hsr-lint-ok: amortized heap growth; capacity plateaus at peak depth
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+EventHandle EventQueue::schedule(TimePoint when, EventAction action) {
+  return schedule(when, next_seq_++, std::move(action));
 }
 
-EventHandle EventQueue::schedule(TimePoint when, EventAction action) {
+EventHandle EventQueue::schedule(TimePoint when, std::uint64_t seq,
+                                 EventAction action) {
+  HSR_DCHECK_MSG(seq < next_seq_, "scheduling under a seq never handed out");
   const std::uint32_t index = acquire_slot();
   Slot& s = slots_[index];
-  s.when = when;
-  s.seq = next_seq_++;
   s.action = std::move(action);
-  s.live = true;
-  push_entry(when, s.seq, index);
+  heap_.push_back(HeapEntry{when, seq, index});  // hsr-lint-ok: amortized heap growth; capacity plateaus at peak depth
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++pushed_;
   return EventHandle(this, index, s.generation);
 }
 
-bool EventQueue::reschedule(const EventHandle& handle, TimePoint when) {
-  if (!handle_pending(handle)) return false;
-  Slot& s = slots_[handle.slot_];
-  // The slot's current heap entry is orphaned (its seq no longer matches)
-  // and the event continues under a fresh seq, so same-instant FIFO order
-  // treats the move exactly like cancel + schedule.
-  s.when = when;
-  s.seq = next_seq_++;
-  push_entry(when, s.seq, handle.slot_);
-  ++tombstones_in_heap_;
-  ++reschedules_total_;
-  maybe_compact();
-  return true;
-}
-
-void EventQueue::retire_dead_entry(const HeapEntry& e) const {
-  ++pruned_tombstones_;
-  HSR_DCHECK_MSG(tombstones_in_heap_ > 0, "tombstone count underflow");
-  --tombstones_in_heap_;
-  const Slot& s = slots_[e.slot];
-  HSR_DCHECK_MSG(!(s.live && s.seq == e.seq), "retiring a live entry");
-  if (!s.live && s.seq == e.seq) release_slot(e.slot);
-}
-
-void EventQueue::prune() const {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    const HeapEntry dead = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    retire_dead_entry(dead);
-  }
-}
-// HSR_HOT_PATH_END
-
-// Compaction is amortized maintenance (runs when tombstones outnumber live
-// entries), not steady-state work, so it sits outside the hot region; its
-// resize() only ever shrinks.
-void EventQueue::maybe_compact() {
-  if (heap_.size() >= kCompactMinHeap && tombstones_in_heap_ * 2 > heap_.size()) {
-    compact();
-  }
-}
-
-void EventQueue::compact() {
-  std::size_t kept = 0;
-  for (const HeapEntry& e : heap_) {
-    if (entry_live(e)) {
-      heap_[kept++] = e;
-    } else {
-      retire_dead_entry(e);
-    }
-  }
-  heap_.resize(kept);
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  HSR_DCHECK_MSG(tombstones_in_heap_ == 0, "compaction missed tombstones");
-  ++compactions_total_;
-}
-
-// HSR_HOT_PATH_BEGIN — the dispatch loop: peek/pop/run once per event.
-bool EventQueue::empty() const {
-  prune();
-  return heap_.empty();
-}
-
-TimePoint EventQueue::next_time() const {
-  prune();
-  if (heap_.empty()) return TimePoint::max();
-  return heap_.front().when;
-}
-
-TimePoint EventQueue::pop_and_run() {
-  prune();
+bool EventQueue::pop_and_run() {
   HSR_CHECK_MSG(!heap_.empty(), "pop_and_run on empty queue");
   const HeapEntry e = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
-  Slot& s = slots_[e.slot];
-  HSR_DCHECK_MSG(s.live && s.seq == e.seq, "popped entry is not live");
-  const TimePoint when = e.when;
-  // Move the action out and retire the slot BEFORE running: the action may
-  // schedule new events (reusing the slot) or inspect its own handle, which
-  // must already read as fired.
-  auto action = std::move(s.action);
-  release_slot(e.slot);
-  ++fired_total_;
-  // Virtual time never runs backwards: the heap must hand events out in
+  // Virtual time never runs backwards: the heap must hand entries out in
   // non-decreasing timestamp order.
-  HSR_DCHECK_MSG(when >= last_fired_, "event queue time went backwards");
-  last_fired_ = when;
-  // Tombstone accounting: every event ever scheduled is in the heap, fired,
-  // or was pruned as a tombstone — nothing is lost or duplicated.
-  HSR_DCHECK_MSG(heap_.size() + fired_total_ + pruned_tombstones_ == next_seq_,
+  HSR_DCHECK_MSG(e.when >= last_popped_, "event queue time went backwards");
+  last_popped_ = e.when;
+  // Move the action out and retire the slot BEFORE running: the action may
+  // schedule new events (reusing the slot) or cancel its own handle, which
+  // must already read as inert.
+  auto action = std::move(slots_[e.slot].action);
+  release_slot(e.slot);
+  if (action) {
+    ++fired_total_;
+  } else {
+    ++discarded_;
+  }
+  // Nothing is lost or duplicated: every entry ever pushed is in the heap,
+  // fired, or was popped cancelled.
+  HSR_DCHECK_MSG(pushed_ == fired_total_ + discarded_ + heap_.size(),
                  "event accounting out of balance");
+  if (!action) return false;
   action();
-  return when;
+  return true;
 }
 // HSR_HOT_PATH_END
 

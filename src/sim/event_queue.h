@@ -1,7 +1,7 @@
 // Priority queue of timestamped events with stable FIFO ordering among
-// events scheduled for the same instant, O(1) lazy cancellation, in-place
-// rescheduling, and slab-allocated event records (no per-event heap
-// allocation beyond what the action's captures need).
+// events scheduled for the same instant, O(1) cancellation, and
+// slab-allocated event records (no per-event heap allocation beyond what
+// the action's captures need).
 #pragma once
 
 #include <cstdint>
@@ -28,18 +28,17 @@ using EventAction = util::InlineFunction<void(), kEventActionInlineBytes>;
 
 class EventQueue;
 
-// Handle to a scheduled event; allows cancellation (and, via the queue,
-// rescheduling). Default-constructed handles are inert. Handles are cheap
-// to copy (queue pointer + slot index + generation); a generation counter
-// makes handles to fired, cancelled, or reused slots inert, so stale
-// handles are always safe — but a handle must not outlive its EventQueue.
+// Handle to a scheduled event; allows cancellation. Default-constructed
+// handles are inert. Handles are cheap to copy (queue pointer + slot index
+// + generation); a generation counter makes handles to popped or reused
+// slots inert, so stale handles are always safe — but a handle must not
+// outlive its EventQueue.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  // True if the event is still pending (not fired, not cancelled).
-  bool pending() const;
-  // Cancels the event if still pending; returns whether it was pending.
+  // Turns the event into a no-op if it has not run yet; returns whether it
+  // was still due to run.
   bool cancel();
 
  private:
@@ -51,12 +50,12 @@ class EventHandle {
   std::uint32_t generation_ = 0;
 };
 
-// Cancellation is lazy: a cancelled (or reschedule-superseded) heap entry
-// stays behind as a tombstone until it reaches the top — `empty()` and
-// `next_time()` prune before answering and are exact — or until tombstones
-// outnumber live entries, at which point the whole heap is compacted in one
-// pass so cancel-heavy workloads (ACK-clocked RTO re-arming) cannot let
-// dead entries dominate the heap.
+// Events are ordered by (time, seq): the seq is handed out at scheduling, so
+// events at equal times fire in scheduling order. A cancelled event keeps
+// its heap entry and is popped at its time without running; `empty()` and
+// `next_time()` count it until then. Timers keep cancels rare (sim::Timer
+// moves a deadline instead of cancelling its event), so dead entries never
+// dominate the heap.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -66,82 +65,57 @@ class EventQueue {
   // Pre-sizes the slab and the heap for an expected peak of concurrently
   // pending events, so a workload whose event population ramps slowly (many
   // TCP flows opening their windows) reaches steady state without the
-  // vectors ever growing mid-run. The heap gets twice the slab budget:
-  // lazily-cancelled tombstones may legitimately pile up to half the heap
-  // before compaction reclaims them. Never shrinks.
+  // vectors ever growing mid-run. Never shrinks.
   void reserve(std::size_t expected_pending);
 
-  // Schedules `action` at absolute time `when`. Events at equal times fire
-  // in scheduling order. Inline-sized captures are stored in the slab slot:
-  // no allocation on the schedule path.
+  // Schedules `action` at absolute time `when` under the next seq. Events at
+  // equal times fire in scheduling order. Inline-sized captures are stored
+  // in the slab slot: no allocation on the schedule path.
   EventHandle schedule(TimePoint when, EventAction action);
 
-  // Moves a still-pending event to a new time, keeping its action: the
-  // re-arm fast path for retransmission timers (no allocation, no action
-  // re-construction). Ordering behaves exactly like cancel + schedule — the
-  // moved event fires after anything already scheduled for the same
-  // instant. Returns false (and changes nothing) when the handle is inert,
-  // cancelled, or already fired.
-  bool reschedule(const EventHandle& handle, TimePoint when);
+  // Reserves the next seq without scheduling anything: a later
+  // schedule(when, seq, ...) fires in the same-instant position the event
+  // would have had if it had been scheduled now (see sim::Timer).
+  std::uint64_t take_seq() { return next_seq_++; }
+  // Schedules `action` at (when, seq) for a seq from take_seq().
+  EventHandle schedule(TimePoint when, std::uint64_t seq, EventAction action);
 
-  // True when no live (non-cancelled) events remain.
-  bool empty() const;
+  bool empty() const { return heap_.empty(); }
 
-  // Time of the earliest pending event; TimePoint::max() when empty.
-  TimePoint next_time() const;
+  // Time of the earliest entry, cancelled or not; TimePoint::max() when
+  // empty.
+  TimePoint next_time() const {
+    return heap_.empty() ? TimePoint::max() : heap_.front().when;
+  }
 
-  // Pops and runs the earliest pending event; returns its timestamp.
-  // Precondition: !empty().
-  TimePoint pop_and_run();
+  // Pops the earliest entry and runs its action; returns false (and runs
+  // nothing) when the event was cancelled. Precondition: !empty().
+  bool pop_and_run();
 
-  // Total events scheduled over the queue's lifetime (diagnostics). A
-  // reschedule counts as one more scheduled event: it retires the old heap
-  // entry as a tombstone and files a new one, exactly like cancel + push.
+  // Seqs handed out over the queue's lifetime, by schedule(when, action)
+  // and take_seq(): one per event or timer arm the simulation asked for.
   std::uint64_t scheduled_total() const { return next_seq_; }
 
-  // Events executed via pop_and_run (diagnostics / invariant accounting).
+  // Events popped and run (diagnostics / invariant accounting).
   std::uint64_t fired_total() const { return fired_total_; }
 
-  // Dead heap entries dropped, by head pruning or compaction. Together with
-  // the heap size and fired_total() this accounts for every event ever
-  // scheduled:  heap size + fired + pruned tombstones == scheduled_total().
-  std::uint64_t pruned_tombstones_total() const { return pruned_tombstones_; }
-
-  // In-place reschedules served (each supersedes one heap entry).
-  std::uint64_t reschedules_total() const { return reschedules_total_; }
-
-  // Whole-heap compaction passes triggered by tombstone-dominated heaps.
-  std::uint64_t compactions_total() const { return compactions_total_; }
-
-  // Dead entries currently buried in the heap (cancelled or superseded).
-  // Bounded: compaction fires once they exceed half of a non-trivial heap.
-  std::size_t tombstones_in_heap() const { return tombstones_in_heap_; }
-
-  // Heap entries, live and dead (diagnostics).
+  // Heap entries, cancelled ones included (diagnostics).
   std::size_t heap_size() const { return heap_.size(); }
 
  private:
   friend class EventHandle;
 
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  // Compaction threshold: below this heap size a rebuild costs more than
-  // the tombstones it removes; above it, compact when > 1/2 dead.
-  static constexpr std::size_t kCompactMinHeap = 64;
 
-  // One event record in the slab. Freed slots are chained through
-  // `next_free` and reused; `generation` bumps on every retire so handles
+  // One event record in the slab. A slot is in use from schedule to pop;
+  // an empty action marks it cancelled. Freed slots are chained through
+  // `next_free` and reused; `generation` bumps on every release so handles
   // into reused slots read as inert.
   struct Slot {
-    TimePoint when;
-    std::uint64_t seq = 0;  // seq of the slot's CURRENT heap entry
     EventAction action;
     std::uint32_t generation = 0;
-    bool live = false;  // scheduled, neither cancelled nor fired
     std::uint32_t next_free = kNilSlot;
   };
-  // Heap entries carry their own ordering key: an entry is live iff its
-  // slot is live AND still carries the entry's seq (a reschedule gives the
-  // slot a fresh seq, orphaning the old entry as a tombstone).
   struct HeapEntry {
     TimePoint when;
     std::uint64_t seq = 0;
@@ -154,37 +128,20 @@ class EventQueue {
     }
   };
 
-  bool handle_pending(const EventHandle& h) const;
   bool cancel_handle(const EventHandle& h);
-  bool entry_live(const HeapEntry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.seq == e.seq;
-  }
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t index) const;
-  void push_entry(TimePoint when, std::uint64_t seq, std::uint32_t slot) const;
-  // Retires a dead entry removed from the heap: counts it pruned and, when
-  // it is its slot's current entry (cancelled, not superseded), frees the slot.
-  void retire_dead_entry(const HeapEntry& e) const;
-  // Drops dead entries from the head of the heap.
-  void prune() const;
-  // Rebuilds the heap without its dead entries (all counted as pruned).
-  void compact();
-  void maybe_compact();
+  void release_slot(std::uint32_t index);
 
-  // prune() runs in const methods (empty/next_time are the queue's source
-  // of truth), so the storage it rewrites is mutable, as are the counters
-  // it maintains.
-  mutable std::vector<HeapEntry> heap_;  // binary min-heap via std::push_heap
-  mutable std::vector<Slot> slots_;
-  mutable std::uint32_t free_head_ = kNilSlot;
-  mutable std::size_t tombstones_in_heap_ = 0;
-  mutable std::uint64_t pruned_tombstones_ = 0;
+  std::vector<HeapEntry> heap_;  // binary min-heap via std::push_heap
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 0;
+  // Accounting: every entry ever pushed is in the heap, fired, or was popped
+  // cancelled — pushed_ == fired_total_ + discarded_ + heap size.
+  std::uint64_t pushed_ = 0;
   std::uint64_t fired_total_ = 0;
-  std::uint64_t reschedules_total_ = 0;
-  std::uint64_t compactions_total_ = 0;
-  TimePoint last_fired_ = TimePoint::zero();  // for monotonicity invariant
+  std::uint64_t discarded_ = 0;
+  TimePoint last_popped_ = TimePoint::zero();  // for monotonicity invariant
 };
 
 }  // namespace hsr::sim

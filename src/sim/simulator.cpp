@@ -14,9 +14,9 @@ EventHandle Simulator::after(Duration delay, EventAction action) {
   return queue_.schedule(now_ + delay, std::move(action));
 }
 
-bool Simulator::reschedule(const EventHandle& handle, TimePoint when) {
-  HSR_CHECK_MSG(when >= now_, "rescheduling into the past");
-  return queue_.reschedule(handle, when);
+EventHandle Simulator::at(TimePoint when, std::uint64_t seq, EventAction action) {
+  HSR_CHECK_MSG(when >= now_, "scheduling into the past");
+  return queue_.schedule(when, seq, std::move(action));
 }
 
 std::uint64_t Simulator::run_until(TimePoint deadline) {
@@ -33,9 +33,13 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
     // at()/after() reject past schedules, so the head is always >= now.
     HSR_DCHECK_MSG(queue_.next_time() >= now_, "simulation clock would go backwards");
     now_ = queue_.next_time();
-    queue_.pop_and_run();
-    ++n;
-    ++executed_;
+    running_counts_ = true;
+    if (queue_.pop_and_run() && running_counts_) {
+      ++n;
+      ++executed_;
+    } else {
+      ++idle_;
+    }
   }
   // Advance the clock to the deadline even if the queue drained early, so
   // callers measure elapsed wall time consistently.

@@ -180,8 +180,14 @@ util::StatusOr<unsigned> parse_bench_threads(const char* text) {
 namespace {
 
 // Resolves the worker count, or an error when HSR_BENCH_THREADS is set but
-// malformed (the run is rejected rather than silently falling back).
+// malformed or the requested count is absurd (the run is rejected rather
+// than silently falling back, and before any thread starts).
 util::StatusOr<unsigned> resolve_dataset_threads(unsigned requested) {
+  if (requested > kMaxBenchThreads) {
+    return util::Status::invalid_argument(
+        "DatasetSpec::threads=" + std::to_string(requested) + " is absurd (max " +
+        std::to_string(kMaxBenchThreads) + ")");
+  }
   if (requested == 0) {
     if (const char* env = std::getenv("HSR_BENCH_THREADS")) {
       auto parsed = parse_bench_threads(env);

@@ -134,8 +134,8 @@ struct FlowRecord {
   // Simulator-core cost accounting for this flow (perf tracking: events/sec
   // and tombstone ratio reported by bench_scaling).
   std::uint64_t sim_events = 0;      // events executed
-  std::uint64_t sim_scheduled = 0;   // events ever scheduled
-  std::uint64_t sim_tombstones = 0;  // cancelled/superseded entries pruned
+  std::uint64_t sim_scheduled = 0;   // events and timer arms ever scheduled
+  std::uint64_t sim_tombstones = 0;  // idle entries (sim::Simulator::idle_events)
 };
 
 // A flow that failed in the simulate phase (exception, watchdog abort) and

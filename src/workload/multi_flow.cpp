@@ -18,24 +18,6 @@ namespace hsr::workload {
 
 namespace {
 
-net::LinkConfig downlink_config_for(const radio::ProviderProfile& p) {
-  net::LinkConfig cfg;
-  cfg.rate_bps = p.downlink_rate_bps;
-  cfg.prop_delay = p.core_delay;
-  cfg.queue_capacity = p.queue_capacity;
-  cfg.name = p.name + "/down";
-  return cfg;
-}
-
-net::LinkConfig uplink_config_for(const radio::ProviderProfile& p) {
-  net::LinkConfig cfg;
-  cfg.rate_bps = p.uplink_rate_bps;
-  cfg.prop_delay = p.core_delay;
-  cfg.queue_capacity = 64;
-  cfg.name = p.name + "/up";
-  return cfg;
-}
-
 // One flow's TCP endpoints. Heap-owned so the registered Link receivers can
 // capture a stable raw pointer (the vector of stacks may move around).
 struct FlowStack {
@@ -44,6 +26,24 @@ struct FlowStack {
 };
 
 }  // namespace
+
+net::LinkConfig downlink_config(const radio::ProviderProfile& p) {
+  net::LinkConfig cfg;
+  cfg.rate_bps = p.downlink_rate_bps;
+  cfg.prop_delay = p.core_delay;
+  cfg.queue_capacity = p.queue_capacity;
+  cfg.name = p.name + "/down";
+  return cfg;
+}
+
+net::LinkConfig uplink_config(const radio::ProviderProfile& p) {
+  net::LinkConfig cfg;
+  cfg.rate_bps = p.uplink_rate_bps;
+  cfg.prop_delay = p.core_delay;
+  cfg.queue_capacity = 64;
+  cfg.name = p.name + "/up";
+  return cfg;
+}
 
 MultiFlowSenderSpec MultiFlowSpec::resolved_sender(unsigned i) const {
   if (!senders.empty()) {
@@ -72,8 +72,8 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
   // exactly what makes handoff-burst fairness interesting).
   radio::RadioEnvironment env(spec.profile.radio, rng.fork("radio"));
 
-  const net::LinkConfig down_cfg = downlink_config_for(spec.profile);
-  const net::LinkConfig up_cfg = uplink_config_for(spec.profile);
+  const net::LinkConfig down_cfg = downlink_config(spec.profile);
+  const net::LinkConfig up_cfg = uplink_config(spec.profile);
 
   MultiFlowResult out;
   out.duration = spec.duration;
@@ -235,8 +235,7 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
   out.handoffs = env.handoff_count(sim.now());
   out.sim_events = sim.events_executed();
   out.sim_scheduled = sim.queue().scheduled_total();
-  out.sim_tombstones = sim.queue().pruned_tombstones_total() +
-                       sim.queue().tombstones_in_heap();
+  out.sim_tombstones = sim.idle_events();
   out.downlink_aggregate = downlink.stats();
   out.uplink_aggregate = uplink.stats();
 

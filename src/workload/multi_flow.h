@@ -29,6 +29,11 @@ namespace hsr::workload {
 using util::Duration;
 using util::TimePoint;
 
+// The provider's bottleneck link pair: the downlink carries data through the
+// profile's queue, the uplink carries ACKs through a 64-packet queue.
+net::LinkConfig downlink_config(const radio::ProviderProfile& p);
+net::LinkConfig uplink_config(const radio::ProviderProfile& p);
+
 // Per-sender knobs of one flow in a shared-bottleneck scenario.
 struct MultiFlowSenderSpec {
   // Protocol knobs — the same shared struct FlowRunConfig carries.

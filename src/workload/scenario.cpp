@@ -10,28 +10,6 @@
 
 namespace hsr::workload {
 
-namespace {
-
-net::LinkConfig downlink_config(const radio::ProviderProfile& p) {
-  net::LinkConfig cfg;
-  cfg.rate_bps = p.downlink_rate_bps;
-  cfg.prop_delay = p.core_delay;
-  cfg.queue_capacity = p.queue_capacity;
-  cfg.name = p.name + "/down";
-  return cfg;
-}
-
-net::LinkConfig uplink_config(const radio::ProviderProfile& p) {
-  net::LinkConfig cfg;
-  cfg.rate_bps = p.uplink_rate_bps;
-  cfg.prop_delay = p.core_delay;
-  cfg.queue_capacity = 64;
-  cfg.name = p.name + "/up";
-  return cfg;
-}
-
-}  // namespace
-
 tcp::TcpConfig tcp_config_for(const FlowRunConfig& cfg) {
   return tcp::make_tcp_config(cfg.tcp, cfg.profile.receiver_window_segments);
 }

@@ -68,8 +68,8 @@ struct FlowRunResult {
   // Scripted faults that fired (== capture.faults.size(); 0 organic runs).
   std::uint64_t faults_injected = 0;
 
-  // Simulator-core cost counters (events executed / scheduled, tombstoned
-  // entries pruned) for perf reporting.
+  // Simulator-core cost counters (events executed / scheduled, idle heap
+  // entries) for perf reporting.
   std::uint64_t sim_events = 0;
   std::uint64_t sim_scheduled = 0;
   std::uint64_t sim_tombstones = 0;

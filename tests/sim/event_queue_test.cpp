@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace hsr::sim {
@@ -34,11 +35,13 @@ TEST(EventQueueTest, FifoAmongEqualTimes) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueTest, PopReturnsTimestamp) {
+TEST(EventQueueTest, PopReportsThatTheEventRan) {
   EventQueue q;
-  q.schedule(TimePoint::from_ns(77), [] {});
+  bool ran = false;
+  q.schedule(TimePoint::from_ns(77), [&] { ran = true; });
   EXPECT_EQ(q.next_time(), TimePoint::from_ns(77));
-  EXPECT_EQ(q.pop_and_run(), TimePoint::from_ns(77));
+  EXPECT_TRUE(q.pop_and_run());
+  EXPECT_TRUE(ran);
   EXPECT_TRUE(q.empty());
 }
 
@@ -46,9 +49,8 @@ TEST(EventQueueTest, CancelPreventsExecution) {
   EventQueue q;
   bool ran = false;
   EventHandle h = q.schedule(TimePoint::from_ns(10), [&] { ran = true; });
-  EXPECT_TRUE(h.pending());
   EXPECT_TRUE(h.cancel());
-  EXPECT_FALSE(h.pending());
+  EXPECT_FALSE(q.pop_and_run());  // popped at its time as a no-op
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(ran);
 }
@@ -63,8 +65,7 @@ TEST(EventQueueTest, CancelIsIdempotent) {
 TEST(EventQueueTest, CancelAfterFireReturnsFalse) {
   EventQueue q;
   EventHandle h = q.schedule(TimePoint::from_ns(10), [] {});
-  q.pop_and_run();
-  EXPECT_FALSE(h.pending());
+  EXPECT_TRUE(q.pop_and_run());
   EXPECT_FALSE(h.cancel());
 }
 
@@ -81,8 +82,35 @@ TEST(EventQueueTest, CancelMiddleEventKeepsOthers) {
 
 TEST(EventQueueTest, DefaultHandleIsInert) {
   EventHandle h;
-  EXPECT_FALSE(h.pending());
   EXPECT_FALSE(h.cancel());
+}
+
+TEST(EventQueueTest, InertHandleNeverAliasesSlotZero) {
+  // Regression test: a default-constructed handle carries slot 0 /
+  // generation 0. cancel() must not let it hit whatever live event happens
+  // to occupy slot 0 of this queue.
+  EventQueue q;
+  int victim_fired = 0;
+  q.schedule(TimePoint::from_ns(10), [&] { ++victim_fired; });  // slot 0
+  EventHandle inert;
+  EXPECT_FALSE(inert.cancel());
+  EXPECT_TRUE(q.pop_and_run());
+  EXPECT_EQ(victim_fired, 1);
+}
+
+TEST(EventQueueTest, ForeignQueueHandleIsRejected) {
+  EventQueue a;
+  EventQueue b;
+  int a_fired = 0;
+  int b_fired = 0;
+  EventHandle ha = a.schedule(TimePoint::from_ns(10), [&] { ++a_fired; });
+  b.schedule(TimePoint::from_ns(10), [&] { ++b_fired; });  // occupies b's slot 0
+  // A handle only ever reaches its own queue, whose slot it names.
+  EXPECT_TRUE(ha.cancel());
+  EXPECT_TRUE(b.pop_and_run());
+  EXPECT_FALSE(a.pop_and_run());
+  EXPECT_EQ(a_fired, 0);
+  EXPECT_EQ(b_fired, 1);
 }
 
 TEST(EventQueueTest, ScheduleFromInsideCallback) {
@@ -103,14 +131,29 @@ TEST(EventQueueTest, ScheduledTotalCounts) {
   EXPECT_EQ(q.scheduled_total(), 2u);
 }
 
+TEST(EventQueueTest, ReservedSeqKeepsItsSameInstantPlace) {
+  // A seq taken before other events were scheduled orders the late-posted
+  // event ahead of them at an equal time, and after those scheduled before.
+  EventQueue q;
+  std::vector<int> order;
+  const TimePoint t = TimePoint::from_ns(50);
+  q.schedule(t, [&] { order.push_back(0); });
+  const std::uint64_t seq = q.take_seq();
+  q.schedule(t, [&] { order.push_back(2); });
+  q.schedule(t, seq, [&] { order.push_back(1); });
+  EXPECT_EQ(q.scheduled_total(), 3u);  // the late post reuses its seq
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(EventQueueDeathTest, PopOnEmptyAborts) {
   EventQueue q;
   EXPECT_DEATH(q.pop_and_run(), "empty");
 }
 
-// --- Tombstone accounting ----------------------------------------------------
+// --- Cancelled entries ---------------------------------------------------------
 
-TEST(EventQueueTest, EmptyPrunesCancelledTombstones) {
+TEST(EventQueueTest, CancelledEntriesCountUntilPopped) {
   EventQueue q;
   std::vector<EventHandle> handles;
   handles.reserve(5);
@@ -118,20 +161,23 @@ TEST(EventQueueTest, EmptyPrunesCancelledTombstones) {
     handles.push_back(q.schedule(TimePoint::from_ns(i + 1), [] {}));
   }
   for (auto& h : handles) EXPECT_TRUE(h.cancel());
-  // empty() must see through the five tombstones and drop them.
+  // empty() reads the heap: the five no-ops are still there to be popped.
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.heap_size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(q.pop_and_run());
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pruned_tombstones_total(), 5u);
   EXPECT_EQ(q.fired_total(), 0u);
   EXPECT_EQ(q.scheduled_total(), 5u);
 }
 
-TEST(EventQueueTest, NextTimePrunesCancelledHead) {
+TEST(EventQueueTest, NextTimeReportsCancelledHeadUntilPopped) {
   EventQueue q;
   EventHandle head = q.schedule(TimePoint::from_ns(10), [] {});
   q.schedule(TimePoint::from_ns(20), [] {});
   head.cancel();
+  EXPECT_EQ(q.next_time(), TimePoint::from_ns(10));
+  EXPECT_FALSE(q.pop_and_run());
   EXPECT_EQ(q.next_time(), TimePoint::from_ns(20));
-  EXPECT_EQ(q.pruned_tombstones_total(), 1u);
 }
 
 TEST(EventQueueTest, DoubleCancelCountsOneTombstone) {
@@ -139,30 +185,37 @@ TEST(EventQueueTest, DoubleCancelCountsOneTombstone) {
   EventHandle h = q.schedule(TimePoint::from_ns(10), [] {});
   EXPECT_TRUE(h.cancel());
   EXPECT_FALSE(h.cancel());  // second cancel is a no-op...
+  EXPECT_EQ(q.heap_size(), 1u);
+  EXPECT_FALSE(q.pop_and_run());  // ...and the entry is popped exactly once
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pruned_tombstones_total(), 1u);  // ...and prunes exactly once
 }
 
 TEST(EventQueueTest, CancelAfterFireLeavesNoTombstone) {
   EventQueue q;
   EventHandle h = q.schedule(TimePoint::from_ns(10), [] {});
-  q.pop_and_run();
-  EXPECT_FALSE(h.cancel());  // already fired: nothing to cancel or prune
+  EXPECT_TRUE(q.pop_and_run());
+  EXPECT_FALSE(h.cancel());  // already fired: nothing to cancel
   EXPECT_EQ(q.fired_total(), 1u);
-  EXPECT_EQ(q.pruned_tombstones_total(), 0u);
+  EXPECT_EQ(q.heap_size(), 0u);
 }
 
 TEST(EventQueueTest, AccountingBalancesAfterMixedDrain) {
   EventQueue q;
+  std::vector<int> order;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 100; ++i) {
-    handles.push_back(q.schedule(TimePoint::from_ns(i), [] {}));
+    handles.push_back(q.schedule(TimePoint::from_ns(i), [&order, i] { order.push_back(i); }));
   }
   for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
-  while (!q.empty()) q.pop_and_run();
-  // Every scheduled event was either fired or pruned as a tombstone.
-  EXPECT_EQ(q.fired_total() + q.pruned_tombstones_total(), q.scheduled_total());
-  EXPECT_EQ(q.pruned_tombstones_total(), 34u);  // ceil(100 / 3)
+  std::uint64_t discarded = 0;
+  while (!q.empty()) discarded += q.pop_and_run() ? 0 : 1;
+  // Every scheduled event either fired or was popped cancelled, and the
+  // survivors ran in order.
+  EXPECT_EQ(q.fired_total() + discarded, q.scheduled_total());
+  EXPECT_EQ(discarded, 34u);  // ceil(100 / 3)
+  ASSERT_EQ(order.size(), 66u);
+  for (std::size_t k = 1; k < order.size(); ++k) EXPECT_LT(order[k - 1], order[k]);
+  for (int i : order) EXPECT_NE(i % 3, 0);
 }
 
 }  // namespace

@@ -86,39 +86,8 @@ TEST(EventQueueAllocTest, SteadyStateScheduleFireIsAllocationFree) {
   EXPECT_EQ(fired, 4096u);
 }
 
-// Same gate for the re-arm path: after the first compaction establishes the
-// heap's high-water capacity, reschedule() is allocation-free.
-TEST(EventQueueAllocTest, SteadyStateRescheduleIsAllocationFree) {
-  EventQueue q;
-  sim::EventHandle timer = q.schedule(util::TimePoint::from_ns(1'000'000), [] {});
-  for (int i = 1; i <= 256; ++i) {  // warm-up: tombstone growth + compaction
-    ASSERT_TRUE(q.reschedule(timer, util::TimePoint::from_ns(1'000'000 + i)));
-  }
-  AllocProbe::Scope scope;
-  for (int i = 257; i <= 4096; ++i) {
-    ASSERT_TRUE(q.reschedule(timer, util::TimePoint::from_ns(1'000'000 + i)));
-  }
-  EXPECT_EQ(scope.news_delta(), 0u);
-  EXPECT_GT(q.compactions_total(), 0u);
-}
-
-// Cancel churn (schedule + cancel under a long-lived survivor) settles into
-// the same allocation-free steady state.
-TEST(EventQueueAllocTest, SteadyStateCancelChurnIsAllocationFree) {
-  EventQueue q;
-  q.schedule(util::TimePoint::from_ns(1'000'000'000), [] {});
-  auto churn = [&](int i) {
-    sim::EventHandle h = q.schedule(util::TimePoint::from_ns(2'000'000 + i), [] {});
-    h.cancel();
-  };
-  for (int i = 0; i < 512; ++i) churn(i);
-  AllocProbe::Scope scope;
-  for (int i = 512; i < 4096; ++i) churn(i);
-  EXPECT_EQ(scope.news_delta(), 0u);
-}
-
-// Timer::arm rides the reschedule fast path; the ACK-clocked RTO re-arm
-// must therefore be allocation-free too.
+// Timer::arm records a deadline and reuses the timer's one wake-up event,
+// so the ACK-clocked RTO re-arm is allocation-free.
 TEST(TimerAllocTest, SteadyStateReArmIsAllocationFree) {
   sim::Simulator sim;
   int fired = 0;
@@ -131,12 +100,37 @@ TEST(TimerAllocTest, SteadyStateReArmIsAllocationFree) {
   t.cancel();
 }
 
+// The delayed-ACK pattern under a running clock: an event every millisecond
+// arms a timer and cancels it again, so idle wake-ups surface, re-post
+// themselves or retire inside the probe window. None of it allocates.
+TEST(TimerAllocTest, SteadyStateArmCancelChurnIsAllocationFree) {
+  sim::Simulator sim;
+  int fired = 0;
+  sim::Timer delack(sim, [&fired] { ++fired; });
+  sim::Timer rto(sim, [&fired] { ++fired; });
+  int ticks = 0;
+  auto tick = [&](auto& self) -> void {
+    delack.arm(util::Duration::millis(40));
+    rto.arm(util::Duration::millis(200));
+    if (++ticks % 3 != 0) delack.cancel();
+    if (ticks < 4096) sim.after(util::Duration::millis(1), [&self] { self(self); });
+  };
+  sim.at(util::TimePoint::zero(), [&tick] { tick(tick); });
+  sim.run_until(util::TimePoint::zero() + util::Duration::millis(512));  // warm-up
+  AllocProbe::Scope scope;
+  sim.run();
+  EXPECT_EQ(scope.news_delta(), 0u);
+  EXPECT_EQ(ticks, 4096);
+  EXPECT_GT(sim.idle_events(), 0u);
+  EXPECT_EQ(fired, 1);  // only the final RTO arm runs out
+}
+
 // End-to-end guard: a full TCP flow (links, channels, capture taps, RTO
 // timers, segment ring, flat scoreboards) costs EXACTLY ZERO heap
 // allocations per steady-state event. Setup (pre-sizing reserves, endpoint
 // construction) allocates freely before t=0; the probe window starts after
-// a warm-up tranche so one-time high-water growth (queue slab, tombstone
-// heap) has settled, and then every event — ACK clocking, SACK scoreboard
+// a warm-up tranche so one-time high-water growth (queue slab and heap)
+// has settled, and then every event — ACK clocking, SACK scoreboard
 // updates, retransmissions, RTO re-arms, capture records — must run out of
 // pre-sized storage. A single node-based container or std::function on any
 // endpoint path trips this at the first event that touches it.

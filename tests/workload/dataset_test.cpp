@@ -141,6 +141,17 @@ TEST(GenerateDatasetTest, ExplicitThreadCountIgnoresBrokenEnv) {
   EXPECT_FALSE(ds.flows.empty());
 }
 
+TEST(GenerateDatasetTest, RejectsThreadCountAboveTheBenchCap) {
+  DatasetSpec spec = DatasetSpec::paper_table1(0.02);
+  spec.threads = kMaxBenchThreads + 1;
+  const DatasetResult ds = generate_dataset(spec);
+  // Rejected before a worker starts: no flows simulated.
+  EXPECT_EQ(ds.config_status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(ds.config_status.message().find("DatasetSpec::threads=513"), std::string::npos);
+  EXPECT_TRUE(ds.flows.empty());
+  EXPECT_FALSE(ds.complete());
+}
+
 // --- Graceful degradation -----------------------------------------------------
 
 DatasetSpec degradation_spec() {

@@ -172,6 +172,14 @@ SELF_CHECK_CASES = [
     ("analysis_flows_per_s", 1000.0, 850.0, "regression"),      # -15 % analyses/s
     ("analysis_allocs_per_flow", 4.0, 4.0, "ok"),               # constant per call
     ("analysis_allocs_per_flow", 4.0, 6.0, "regression"),       # +50 % per call
+    # The timer metrics (bench_hotpath schema v5) gate by name too.
+    ("timer_rearm_ops_per_s", 100.0, 95.0, "ok"),               # -5 % re-arms/s
+    ("timer_rearm_ops_per_s", 100.0, 80.0, "regression"),       # -20 % re-arms/s
+    ("timer_rearm_allocs_per_op", 0.0, 0.0, "ok"),              # zero stays zero
+    ("timer_rearm_allocs_per_op", 0.0, 1.0, "regression"),      # zero-alloc lost
+    ("timer_arm_cancel_ops_per_s", 100.0, 89.0, "regression"),  # -11 % pairs/s
+    ("timer_arm_cancel_allocs_per_op", 0.0, 0.005, "ok"),       # within epsilon
+    ("timer_arm_cancel_allocs_per_op", 0.0, 0.5, "regression"), # zero-alloc lost
 ]
 
 # (name, baseline, current, base_spread, cur_spread, expected status)

@@ -28,13 +28,13 @@
 // chunk/merge I/O failure, or any quarantined flow); on failure no partial
 // corpus or stats file appears under the output names.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "analysis/corpus_stats.h"
 #include "fault/io_fault.h"
+#include "numeric_flag.h"
 #include "util/fs.h"
 #include "util/status.h"
 #include "util/time.h"
@@ -51,17 +51,11 @@ int usage() {
   return 2;
 }
 
-bool parse_u64(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
-bool parse_double(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != text && *end == '\0' && out > 0.0;
-}
+using hsr::tools::kMaxFlagCount;
+using hsr::tools::kMaxFlagSeconds;
+using hsr::tools::kMaxFlagSeed;
+using hsr::tools::kMinFlagSeconds;
+using hsr::tools::parse_flag;
 
 // Shapes a DatasetSpec with exactly `flows` planned flows: the stationary
 // control corpus gets ~1/8 (at least one per provider), and the remainder is
@@ -102,12 +96,12 @@ hsr::workload::DatasetSpec shape_spec(std::uint64_t flows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t flows = 0;
+  unsigned flows = 0;
   double duration_s = 0.0;  // 0 = keep the spec's paper-scale default
-  std::uint64_t threads = 0;
+  unsigned threads = 0;
   std::uint64_t seed = 0;
   bool have_seed = false;
-  std::uint64_t chunk_flows = 0;
+  unsigned chunk_flows = 0;
   bool resume = false;
   std::string out_path;
   std::string stats_path;
@@ -118,20 +112,31 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--flows" && has_value) {
-      if (!parse_u64(argv[++i], flows) || flows == 0) return usage();
+      if (!parse_flag("--flows", argv[++i], 1u, kMaxFlagCount, flows)) {
+        return usage();
+      }
     } else if (arg == "--duration" && has_value) {
-      if (!parse_double(argv[++i], duration_s)) return usage();
+      if (!parse_flag("--duration", argv[++i], kMinFlagSeconds, kMaxFlagSeconds, duration_s)) {
+        return usage();
+      }
     } else if (arg == "--threads" && has_value) {
-      if (!parse_u64(argv[++i], threads)) return usage();
+      if (!parse_flag("--threads", argv[++i], 0u, hsr::workload::kMaxBenchThreads,
+                      threads)) {
+        return usage();
+      }
     } else if (arg == "--seed" && has_value) {
-      if (!parse_u64(argv[++i], seed)) return usage();
+      if (!parse_flag("--seed", argv[++i], std::uint64_t{0}, kMaxFlagSeed, seed)) {
+        return usage();
+      }
       have_seed = true;
     } else if (arg == "--out" && has_value) {
       out_path = argv[++i];
     } else if (arg == "--stats-out" && has_value) {
       stats_path = argv[++i];
     } else if (arg == "--chunk-flows" && has_value) {
-      if (!parse_u64(argv[++i], chunk_flows) || chunk_flows == 0) return usage();
+      if (!parse_flag("--chunk-flows", argv[++i], 1u, kMaxFlagCount, chunk_flows)) {
+        return usage();
+      }
     } else if (arg == "--work-dir" && has_value) {
       work_dir = argv[++i];
     } else if (arg == "--resume") {
@@ -150,7 +155,7 @@ int main(int argc, char** argv) {
     spec.flow_duration_min = hsr::util::Duration::from_seconds(duration_s);
     spec.flow_duration_max = spec.flow_duration_min;
   }
-  spec.threads = static_cast<unsigned>(threads);
+  spec.threads = threads;
   if (have_seed) spec.seed = seed;
 
   hsr::workload::StreamingDatasetOptions options;

@@ -22,7 +22,6 @@
 // flow's access stub and adds the goodput-share-during-burst table.
 // `--profile` is telecom (default), unicom, or mobile.
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -31,10 +30,12 @@
 #include <vector>
 
 #include "analysis/fairness.h"
+#include "numeric_flag.h"
 #include "radio/profiles.h"
 #include "trace/trace_binary.h"
 #include "util/status.h"
 #include "util/time.h"
+#include "workload/dataset.h"
 #include "workload/multi_flow.h"
 
 namespace {
@@ -54,25 +55,19 @@ int usage() {
   return 2;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0';
-}
-
-bool parse_seconds(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0' && out >= 0.0;
-}
+using hsr::tools::kMaxFlagCount;
+using hsr::tools::kMaxFlagSeconds;
+using hsr::tools::kMaxFlagSeed;
+using hsr::tools::kMinFlagSeconds;
+using hsr::tools::parse_flag;
 
 bool parse_flow_counts(const std::string& text, std::vector<unsigned>& out) {
   std::istringstream is(text);
   std::string item;
   while (std::getline(is, item, ',')) {
-    std::uint64_t n = 0;
-    if (!parse_u64(item, n) || n == 0) return false;
-    out.push_back(static_cast<unsigned>(n));
+    unsigned n = 0;
+    if (!parse_flag("--ns", item.c_str(), 1u, kMaxFlagCount, n)) return false;
+    out.push_back(n);
   }
   return !out.empty();
 }
@@ -155,7 +150,7 @@ struct Options {
   double stagger_ms = 0.0;
   double burst_begin_s = 0.0;
   double burst_end_s = 0.0;
-  std::uint64_t threads = 0;
+  unsigned threads = 0;
   std::string out_path;
   std::string in_path;
 
@@ -166,31 +161,46 @@ bool parse_options(int argc, char** argv, int first, Options& opt) {
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
-    std::uint64_t n = 0;
     if (arg == "--flows" && has_value) {
-      if (!parse_u64(argv[++i], n) || n == 0) return false;
-      opt.flow_counts = {static_cast<unsigned>(n)};
+      unsigned n = 0;
+      if (!parse_flag("--flows", argv[++i], 1u, kMaxFlagCount, n)) return false;
+      opt.flow_counts = {n};
     } else if (arg == "--ns" && has_value) {
       if (!parse_flow_counts(argv[++i], opt.flow_counts)) return false;
     } else if (arg == "--profile" && has_value) {
       if (!parse_profile(argv[++i], opt.profile)) return false;
     } else if (arg == "--duration" && has_value) {
-      if (!parse_seconds(argv[++i], opt.duration_s) || opt.duration_s <= 0.0) return false;
+      if (!parse_flag("--duration", argv[++i], kMinFlagSeconds, kMaxFlagSeconds, opt.duration_s)) {
+        return false;
+      }
     } else if (arg == "--seed" && has_value) {
-      if (!parse_u64(argv[++i], opt.seed)) return false;
+      if (!parse_flag("--seed", argv[++i], std::uint64_t{0}, kMaxFlagSeed, opt.seed)) {
+        return false;
+      }
     } else if (arg == "--stride" && has_value) {
-      if (!parse_u64(argv[++i], opt.stride)) return false;
+      if (!parse_flag("--stride", argv[++i], std::uint64_t{0}, kMaxFlagSeed, opt.stride)) {
+        return false;
+      }
     } else if (arg == "--stagger" && has_value) {
-      if (!parse_seconds(argv[++i], opt.stagger_ms)) return false;
+      if (!parse_flag("--stagger", argv[++i], 0.0, kMaxFlagSeconds * 1000.0,
+                      opt.stagger_ms)) {
+        return false;
+      }
     } else if (arg == "--burst" && i + 2 < argc) {
-      if (!parse_seconds(argv[i + 1], opt.burst_begin_s) ||
-          !parse_seconds(argv[i + 2], opt.burst_end_s) ||
-          opt.burst_end_s <= opt.burst_begin_s) {
+      if (!parse_flag("--burst", argv[i + 1], 0.0, kMaxFlagSeconds, opt.burst_begin_s) ||
+          !parse_flag("--burst", argv[i + 2], 0.0, kMaxFlagSeconds, opt.burst_end_s)) {
+        return false;
+      }
+      if (opt.burst_end_s <= opt.burst_begin_s) {
+        std::cerr << "fairness_sweep: bad --burst: end must follow begin\n";
         return false;
       }
       i += 2;
     } else if (arg == "--threads" && has_value) {
-      if (!parse_u64(argv[++i], opt.threads)) return false;
+      if (!parse_flag("--threads", argv[++i], 0u, hsr::workload::kMaxBenchThreads,
+                      opt.threads)) {
+        return false;
+      }
     } else if (arg == "--out" && has_value) {
       opt.out_path = argv[++i];
     } else if (arg == "--in" && has_value) {
@@ -215,7 +225,7 @@ hsr::workload::MultiFlowSweepSpec sweep_spec(const Options& opt) {
     spec.burst_begin = TimePoint::from_seconds(opt.burst_begin_s);
     spec.burst_end = TimePoint::from_seconds(opt.burst_end_s);
   }
-  spec.threads = static_cast<unsigned>(opt.threads);
+  spec.threads = opt.threads;
   return spec;
 }
 
