@@ -95,8 +95,9 @@ static void BM_LinkForwarding(benchmark::State& state) {
     net::LinkConfig cfg;
     cfg.rate_bps = 100e6;
     cfg.queue_capacity = 10000;
-    net::Link link(sim, cfg, std::make_unique<net::BernoulliChannel>(0.01, util::Rng(1)));
-    link.set_receiver([](const net::Packet&) {});
+    net::Link link(sim, cfg);
+    link.register_endpoint(0, std::make_unique<net::BernoulliChannel>(0.01, util::Rng(1)),
+                           [](const net::Packet&) {});
     for (int i = 0; i < 1000; ++i) {
       net::Packet p;
       p.id = net::allocate_packet_id();

@@ -72,22 +72,12 @@ class CorpusStats {
   std::uint64_t flows_stationary() const { return flows_stationary_; }
   std::uint64_t quarantined() const { return quarantined_; }
   std::uint64_t bytes_captured() const { return bytes_captured_; }
-  const LossBreakdown& loss_totals() const { return loss_totals_; }
 
-  const util::RunningStats& recovery_duration_s(bool high_speed) const {
-    return high_speed ? recovery_highspeed_ : recovery_stationary_;
-  }
   const util::RunningStats& ack_loss(bool high_speed) const {
     return high_speed ? ack_loss_highspeed_ : ack_loss_stationary_;
   }
   const util::RunningStats& data_loss(bool high_speed) const {
     return high_speed ? data_loss_highspeed_ : data_loss_stationary_;
-  }
-  const util::RunningStats& first_tx_loss_highspeed() const {
-    return first_tx_loss_highspeed_;
-  }
-  const util::RunningStats& recovery_loss_highspeed() const {
-    return recovery_loss_highspeed_;
   }
   const util::RunningStats& goodput_pps(bool high_speed) const {
     return high_speed ? goodput_highspeed_ : goodput_stationary_;

@@ -135,9 +135,6 @@ struct LossBreakdown {
   std::uint64_t data_dropped_by(net::DropCategory c) const {
     return data_by_category[static_cast<std::size_t>(c)];
   }
-  std::uint64_t ack_dropped_by(net::DropCategory c) const {
-    return ack_by_category[static_cast<std::size_t>(c)];
-  }
 };
 
 // Tallies every transmission's fate by drop cause.

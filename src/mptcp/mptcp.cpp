@@ -11,9 +11,7 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, net::FlowId flow_base,
 
   for (std::size_t i = 0; i < paths.size(); ++i) {
     auto sf = std::make_unique<Subflow>(sim, std::move(paths[i].downlink),
-                                        std::move(paths[i].uplink),
-                                        std::move(paths[i].down_channel),
-                                        std::move(paths[i].up_channel));
+                                        std::move(paths[i].uplink));
     sf->index = static_cast<std::uint8_t>(i);
     subflows_.push_back(std::move(sf));
   }
@@ -51,9 +49,13 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, net::FlowId flow_base,
                   "subflow timeout closure outgrew the TimeoutFn SBO");
     sf.sender->set_timeout_callback(std::move(timeout_cb));
 
-    sf.downlink.set_receiver(
+    // The subflow's data packets and ACKs carry `flow`, its one endpoint on
+    // each of its links.
+    sf.downlink.register_endpoint(
+        flow, std::move(paths[i].down_channel),
         [this, &sf](const net::Packet& p) { on_subflow_delivery(sf, p); });
-    sf.uplink.set_receiver([&sf](const net::Packet& p) { sf.sender->on_ack(p); });
+    sf.uplink.register_endpoint(flow, std::move(paths[i].up_channel),
+                                [&sf](const net::Packet& p) { sf.sender->on_ack(p); });
   }
 }
 

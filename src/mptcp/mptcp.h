@@ -64,15 +64,12 @@ class MptcpConnection {
 
   void start();
 
-  std::size_t subflow_count() const { return subflows_.size(); }
   const tcp::TcpSender& subflow_sender(std::size_t i) const {
     return *subflows_.at(i)->sender;
   }
   const tcp::TcpReceiver& subflow_receiver(std::size_t i) const {
     return *subflows_.at(i)->receiver;
   }
-  net::Link& subflow_downlink(std::size_t i) { return subflows_.at(i)->downlink; }
-  net::Link& subflow_uplink(std::size_t i) { return subflows_.at(i)->uplink; }
 
   // Distinct meta segments that reached the receiver.
   std::uint64_t unique_meta_delivered() const { return meta_delivered_.size(); }
@@ -98,11 +95,8 @@ class MptcpConnection {
     // Meta segments queued for this subflow ahead of fresh data (rescues).
     std::deque<SeqNo> pending_rescue;
 
-    Subflow(sim::Simulator& sim, net::LinkConfig down_cfg, net::LinkConfig up_cfg,
-            std::unique_ptr<net::ChannelModel> down_ch,
-            std::unique_ptr<net::ChannelModel> up_ch)
-        : downlink(sim, std::move(down_cfg), std::move(down_ch)),
-          uplink(sim, std::move(up_cfg), std::move(up_ch)) {}
+    Subflow(sim::Simulator& sim, net::LinkConfig down_cfg, net::LinkConfig up_cfg)
+        : downlink(sim, std::move(down_cfg)), uplink(sim, std::move(up_cfg)) {}
   };
 
   void on_subflow_transmit(Subflow& sf, net::Packet packet);

@@ -137,37 +137,4 @@ ChannelVerdict FunctionalChannel::decide(const Packet& p, TimePoint now) {
   return ChannelVerdict::deliver(delay_(p, now));
 }
 
-void FlowDemuxChannel::add_flow(FlowId flow, std::unique_ptr<ChannelModel> channel) {
-  HSR_CHECK(channel != nullptr);
-  HSR_CHECK_MSG(!has_flow(flow), "flow already routed in FlowDemuxChannel");
-  Route r;
-  r.flow = flow;
-  r.channel = std::move(channel);
-  const auto pos = std::lower_bound(
-      channels_.begin(), channels_.end(), flow,
-      [](const Route& e, FlowId f) { return e.flow < f; });
-  channels_.insert(pos, std::move(r));
-}
-
-bool FlowDemuxChannel::has_flow(FlowId flow) const {
-  const auto pos = std::lower_bound(
-      channels_.begin(), channels_.end(), flow,
-      [](const Route& e, FlowId f) { return e.flow < f; });
-  return pos != channels_.end() && pos->flow == flow;
-}
-
-ChannelVerdict FlowDemuxChannel::decide(const Packet& p, TimePoint now) {
-  // Pure routing: only the owning flow's channel sees the packet (per-flow
-  // loss processes must evolve from their flow's packet stream alone), and
-  // the verdict is returned untouched — no component attribution is added,
-  // keeping single-flow demux routing bit-transparent.
-  const auto pos = std::lower_bound(
-      channels_.begin(), channels_.end(), p.flow,
-      [](const Route& e, FlowId f) { return e.flow < f; });
-  if (pos != channels_.end() && pos->flow == p.flow) {
-    return pos->channel->decide(p, now);
-  }
-  return ChannelVerdict::deliver();
-}
-
 }  // namespace hsr::net

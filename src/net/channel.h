@@ -4,8 +4,10 @@
 // extra (non-queueing) delay it picks up, and how many duplicate copies the
 // channel injects.
 //
-// A Link owns exactly one ChannelModel for its direction; composite and
-// time-varying behaviour (the HSR radio) is built from these primitives.
+// Every flow attached to a Link brings its own ChannelModel for that
+// direction (see Link::register_endpoint). The production radio is one
+// FunctionalChannel over radio::RadioEnvironment, optionally wrapped in a
+// fault::FaultInjector; the other models serve tests, benches and ablations.
 #pragma once
 
 #include <array>
@@ -45,10 +47,9 @@ const char* drop_category_name(DropCategory category);
 // the exact mechanism — WHERE in a (possibly nested) CompositeChannel stack
 // the drop happened, and which FaultPlan directive fired for scripted kills.
 struct DropCause {
-  // Deepest composite nesting a cause can attribute. Real topologies nest
-  // two or three levels (radio = composite(loss, composite(fade, jitter)));
-  // past the cap the INNERMOST hop falls off, keeping the outer context
-  // that disambiguates stacks.
+  // Deepest composite nesting a cause can attribute; past the cap the
+  // INNERMOST hop falls off, keeping the outer context that disambiguates
+  // stacks.
   static constexpr std::size_t kMaxComponentDepth = 6;
 
   DropCategory category = DropCategory::kUnknown;
@@ -98,9 +99,6 @@ struct DropCause {
     return c;
   }
   static DropCause queue_overflow() { return of(DropCategory::kQueueOverflow); }
-  static DropCause unattributed_channel() {
-    return of(DropCategory::kChannelUnattributed);
-  }
   static DropCause bernoulli() { return of(DropCategory::kBernoulli); }
   static DropCause gilbert_elliott(bool bad_state) {
     return of(bad_state ? DropCategory::kGilbertElliottBad
@@ -168,8 +166,6 @@ class BernoulliChannel final : public ChannelModel {
   BernoulliChannel(double loss_probability, util::Rng rng);
 
   ChannelVerdict decide(const Packet&, TimePoint) override;
-
-  double loss_probability() const { return p_; }
 
  private:
   double p_;
@@ -244,31 +240,6 @@ class CompositeChannel final : public ChannelModel {
 
  private:
   std::vector<std::unique_ptr<ChannelModel>> parts_;
-};
-
-// Routes each packet's fate decision to a per-flow channel, keyed by the
-// packet's FlowId — the shared-bottleneck building block. The Link keeps ONE
-// queue and transmitter for all flows; this demux gives every flow its own
-// "access stub" (its private radio randomness, fade state and scripted
-// faults) on the air segment. Verdicts pass through UNTOUCHED — no component
-// index is prepended — so a demux carrying a single flow is bit-identical to
-// using that flow's channel directly (the run_flow N=1 adapter relies on
-// this). Packets of unregistered flows are delivered cleanly.
-class FlowDemuxChannel final : public ChannelModel {
- public:
-  // Setup-time only (sorted registry, may reallocate). One channel per flow.
-  void add_flow(FlowId flow, std::unique_ptr<ChannelModel> channel);
-  bool has_flow(FlowId flow) const;
-  std::size_t flow_count() const { return channels_.size(); }
-
-  ChannelVerdict decide(const Packet& p, TimePoint now) override;
-
- private:
-  struct Route {
-    FlowId flow = 0;
-    std::unique_ptr<ChannelModel> channel;
-  };
-  std::vector<Route> channels_;  // sorted by flow id
 };
 
 // Adapts a pair of time-varying callables (drop probability, extra delay)

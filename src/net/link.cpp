@@ -6,12 +6,14 @@
 
 namespace hsr::net {
 
-Link::Link(sim::Simulator& sim, LinkConfig config, std::unique_ptr<ChannelModel> channel)
-    : sim_(sim),
-      config_(std::move(config)),
-      channel_(std::move(channel)),
-      departures_(config_.queue_capacity) {
-  HSR_CHECK(channel_ != nullptr);
+namespace {
+
+const auto kByFlow = [](const auto& endpoint, FlowId flow) { return endpoint.flow < flow; };
+
+}  // namespace
+
+Link::Link(sim::Simulator& sim, LinkConfig config)
+    : sim_(sim), config_(std::move(config)), departures_(config_.queue_capacity) {
   HSR_CHECK(config_.rate_bps > 0.0);
   HSR_CHECK(config_.queue_capacity > 0);
 }
@@ -22,73 +24,75 @@ Duration Link::serialization_time(std::uint32_t bytes) const {
 }
 
 // Setup-time: the registry vector may grow here, never on the packet path.
-void Link::register_endpoint(FlowId flow, Receiver receiver, LinkTap* tap) {
-  HSR_CHECK_MSG(endpoint_for(flow) == nullptr,
+void Link::register_endpoint(FlowId flow, std::unique_ptr<ChannelModel> channel,
+                             Receiver receiver, LinkTap* tap) {
+  HSR_CHECK_MSG(channel != nullptr, "null channel");
+  HSR_CHECK_MSG(receiver, "null receiver");
+  const auto pos = std::lower_bound(endpoints_.begin(), endpoints_.end(), flow, kByFlow);
+  HSR_CHECK_MSG(pos == endpoints_.end() || pos->flow != flow,
                 "flow already has an endpoint on this link");
-  Endpoint ep;
-  ep.flow = flow;
-  ep.receiver = std::move(receiver);
-  ep.tap = tap;
-  const auto pos = std::lower_bound(
-      endpoints_.begin(), endpoints_.end(), flow,
-      [](const Endpoint& e, FlowId f) { return e.flow < f; });
-  endpoints_.insert(pos, std::move(ep));
+  endpoints_.insert(pos, Endpoint{flow, std::move(channel), std::move(receiver), tap, {}});
 }
 
 const LinkStats& Link::endpoint_stats(FlowId flow) const {
-  const Endpoint* ep = endpoint_for(flow);
+  const Endpoint* ep = find(flow);
   HSR_CHECK_MSG(ep != nullptr, "endpoint_stats for unregistered flow");
   return ep->stats;
+}
+
+LinkStats Link::stats() const {
+  LinkStats sum;
+  for (const Endpoint& ep : endpoints_) {
+    sum.sent += ep.stats.sent;
+    sum.delivered += ep.stats.delivered;
+    sum.bytes_delivered += ep.stats.bytes_delivered;
+    sum.injected_duplicates += ep.stats.injected_duplicates;
+    for (std::size_t c = 0; c < kDropCategoryCount; ++c) {
+      sum.dropped_by_category[c] += ep.stats.dropped_by_category[c];
+    }
+  }
+  return sum;
 }
 
 // HSR_HOT_PATH_BEGIN — send/deliver run once per packet; the capture-fits-
 // inline static_assert below and the hsr-lint hotpath family together keep
 // this path allocation-free in steady state (pinned by sim.hotpath_alloc).
-void Link::prune_departures() const {
+const Link::Endpoint* Link::find(FlowId flow) const {
+  const auto pos = std::lower_bound(endpoints_.begin(), endpoints_.end(), flow, kByFlow);
+  return pos != endpoints_.end() && pos->flow == flow ? &*pos : nullptr;
+}
+
+Link::Endpoint& Link::endpoint_of(const Packet& packet) {
+  const Endpoint* ep = find(packet.flow);
+  HSR_CHECK_MSG(ep != nullptr, "no endpoint for the packet's flow on this link");
+  return const_cast<Endpoint&>(*ep);
+}
+
+void Link::prune_departures() {
   const TimePoint now = sim_.now();
   while (!departures_.empty() && departures_.front() <= now) {
     departures_.pop_front();
   }
 }
 
-std::size_t Link::queue_depth() const {
-  prune_departures();
-  return departures_.size();
-}
-
-Link::Endpoint* Link::endpoint_for(FlowId flow) {
-  const auto pos = std::lower_bound(
-      endpoints_.begin(), endpoints_.end(), flow,
-      [](const Endpoint& e, FlowId f) { return e.flow < f; });
-  return pos != endpoints_.end() && pos->flow == flow ? &*pos : nullptr;
-}
-
-const Link::Endpoint* Link::endpoint_for(FlowId flow) const {
-  return const_cast<Link*>(this)->endpoint_for(flow);
-}
-
-void Link::count_drop(const DropCause& cause, Endpoint* ep) {
-  ++stats_.dropped_by_category[static_cast<std::size_t>(cause.category)];
-  if (ep != nullptr) {
-    ++ep->stats.dropped_by_category[static_cast<std::size_t>(cause.category)];
-  }
+void Link::drop(Endpoint& ep, const Packet& packet, TimePoint when,
+                const DropCause& cause) {
+  ++ep.stats.dropped_by_category[static_cast<std::size_t>(cause.category)];
+  if (ep.tap != nullptr) ep.tap->on_drop(packet, when, cause);
 }
 
 void Link::send(Packet packet) {
   const TimePoint now = sim_.now();
   packet.sent_at = now;
-  Endpoint* ep = endpoint_for(packet.flow);
-  ++stats_.sent;
-  if (ep != nullptr) ++ep->stats.sent;
-  if (tap_ != nullptr) tap_->on_send(packet, now);
-  if (ep != nullptr && ep->tap != nullptr) ep->tap->on_send(packet, now);
+  Endpoint& ep = endpoint_of(packet);
+  ++ep.stats.sent;
+  if (ep.tap != nullptr) ep.tap->on_send(packet, now);
 
   prune_departures();
   if (departures_.size() >= config_.queue_capacity) {
-    const DropCause cause = DropCause::queue_overflow();
-    count_drop(cause, ep);
-    if (tap_ != nullptr) tap_->on_drop(packet, now, cause);
-    if (ep != nullptr && ep->tap != nullptr) ep->tap->on_drop(packet, now, cause);
+    // Overflow blame goes to the arriving flow: the one that found the
+    // shared queue full.
+    drop(ep, packet, now, DropCause::queue_overflow());
     return;
   }
 
@@ -99,16 +103,13 @@ void Link::send(Packet packet) {
 
   // Channel fate is evaluated at transmission time: the packet occupies the
   // queue/transmitter either way (it is corrupted on the air, not dropped
-  // before entering the NIC).
-  const ChannelVerdict verdict = channel_->decide(packet, start);
+  // before entering the NIC). Only the flow's own channel sees the packet,
+  // so each flow's loss processes evolve from its own packet stream.
+  const ChannelVerdict verdict = ep.channel->decide(packet, start);
   if (verdict.dropped) {
     HSR_DCHECK_MSG(verdict.cause.category != DropCategory::kUnknown,
                    "channel drop without cause attribution");
-    count_drop(verdict.cause, ep);
-    if (tap_ != nullptr) tap_->on_drop(packet, start, verdict.cause);
-    if (ep != nullptr && ep->tap != nullptr) {
-      ep->tap->on_drop(packet, start, verdict.cause);
-    }
+    drop(ep, packet, start, verdict.cause);
     return;
   }
 
@@ -117,8 +118,7 @@ void Link::send(Packet packet) {
   // packet (same id — it is the SAME packet arriving more than once, as on a
   // real path with a duplicating middlebox). Copies share the arrival time.
   const unsigned copies = 1 + verdict.duplicate_copies;
-  stats_.injected_duplicates += copies - 1;
-  if (ep != nullptr) ep->stats.injected_duplicates += copies - 1;
+  ep.stats.injected_duplicates += copies - 1;
   for (unsigned c = 0; c + 1 < copies; ++c) {
     sim_.at(arrival, [this, packet] { deliver(packet); });
   }
@@ -135,22 +135,11 @@ void Link::send(Packet packet) {
 }
 
 void Link::deliver(const Packet& packet) {
-  Endpoint* ep = endpoint_for(packet.flow);
-  ++stats_.delivered;
-  stats_.bytes_delivered += packet.size_bytes;
-  if (ep != nullptr) {
-    ++ep->stats.delivered;
-    ep->stats.bytes_delivered += packet.size_bytes;
-  }
-  if (tap_ != nullptr) tap_->on_deliver(packet, packet.sent_at, sim_.now());
-  if (ep != nullptr && ep->tap != nullptr) {
-    ep->tap->on_deliver(packet, packet.sent_at, sim_.now());
-  }
-  if (ep != nullptr && ep->receiver) {
-    ep->receiver(packet);
-  } else if (receiver_) {
-    receiver_(packet);
-  }
+  Endpoint& ep = endpoint_of(packet);
+  ++ep.stats.delivered;
+  ep.stats.bytes_delivered += packet.size_bytes;
+  if (ep.tap != nullptr) ep.tap->on_deliver(packet, packet.sent_at, sim_.now());
+  ep.receiver(packet);
 }
 // HSR_HOT_PATH_END
 

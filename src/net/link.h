@@ -1,5 +1,7 @@
-// A unidirectional link: serialization at a fixed rate, a DropTail queue,
-// fixed propagation delay, and a pluggable ChannelModel for loss and jitter.
+// A unidirectional link: serialization at a fixed rate, a DropTail queue and
+// fixed propagation delay, shared by every flow attached to it. Each flow
+// attaches through an endpoint that brings its own ChannelModel for loss and
+// jitter, so a point-to-point link is simply a link with one endpoint.
 //
 // Two links back-to-back (data direction + ACK direction) form the path a
 // TCP connection runs over.
@@ -81,74 +83,55 @@ class Link {
  public:
   // Destination callback type: move-only, SBO. Endpoint receivers capture a
   // pointer or two; anything larger falls back to one heap allocation at
-  // set_receiver time (never on the per-packet delivery path).
+  // register_endpoint time (never on the per-packet delivery path).
   using Receiver = util::InlineFunction<void(const Packet&), 48>;
 
-  Link(sim::Simulator& sim, LinkConfig config, std::unique_ptr<ChannelModel> channel);
+  Link(sim::Simulator& sim, LinkConfig config);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Destination callback, invoked at the packet's arrival time.
-  void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
-  // Optional capture tap (non-owning; must outlive the link).
-  void set_tap(LinkTap* tap) { tap_ = tap; }
-
-  // --- Demuxed endpoint registry (shared-bottleneck links) -----------------
-  //
-  // One link can multiplex several flows through its single DropTail queue
-  // and transmitter: each flow registers an endpoint — its own Receiver,
-  // optional capture tap, and a per-flow LinkStats breakdown — keyed by the
-  // packet's FlowId. Packets of registered flows are accounted in BOTH the
-  // aggregate stats() and the flow's endpoint_stats() (drops included, so
-  // queue-overflow attribution is per-flow), the aggregate tap fires first
-  // and then the flow's tap, and delivery goes to the flow's receiver.
-  // Packets of unregistered flows fall back to the aggregate receiver.
-  //
-  // Registration is a setup-time operation (the registry is a sorted vector
-  // and may reallocate); it must happen before packets of that flow are
-  // offered. The per-packet lookup is a binary search — no allocation.
-  void register_endpoint(FlowId flow, Receiver receiver, LinkTap* tap = nullptr);
-  bool has_endpoint(FlowId flow) const { return endpoint_for(flow) != nullptr; }
-  std::size_t endpoint_count() const { return endpoints_.size(); }
-  // This flow's share of the aggregate stats(). CHECK-fails for flows that
-  // never registered.
+  // Attaches a flow. Every flow shares the link's one DropTail queue and
+  // transmitter; its endpoint owns the rest: the channel deciding its
+  // packets' fate on the air (private randomness, fade state, scripted
+  // faults), the receiver its packets are delivered to, an optional capture
+  // tap (non-owning; must outlive the link) and its LinkStats. Packets find
+  // their endpoint by FlowId. Setup-time only: the registry is a sorted
+  // vector and may reallocate; the per-packet lookup is a binary search.
+  void register_endpoint(FlowId flow, std::unique_ptr<ChannelModel> channel,
+                         Receiver receiver, LinkTap* tap = nullptr);
+  // This flow's stats. CHECK-fails for flows that never registered.
   const LinkStats& endpoint_stats(FlowId flow) const;
+  // The sum over every endpoint's stats.
+  LinkStats stats() const;
 
-  // Hands a packet to the link; the link stamps `sent_at`.
+  // Hands a packet to the link; the link stamps `sent_at`. The packet's flow
+  // must have an endpoint.
   void send(Packet packet);
-
-  const LinkStats& stats() const { return stats_; }
-  const LinkConfig& config() const { return config_; }
-  ChannelModel& channel() { return *channel_; }
-
-  // Instantaneous queue depth (packets still waiting to finish serialization).
-  std::size_t queue_depth() const;
 
  private:
   struct Endpoint {
     FlowId flow = 0;
+    std::unique_ptr<ChannelModel> channel;
     Receiver receiver;
     LinkTap* tap = nullptr;
     LinkStats stats;
   };
 
   Duration serialization_time(std::uint32_t bytes) const;
-  void prune_departures() const;
-  void count_drop(const DropCause& cause, Endpoint* ep);
+  void prune_departures();
+  // Counts the drop in the flow's stats and reports it to the flow's tap.
+  void drop(Endpoint& ep, const Packet& packet, TimePoint when, const DropCause& cause);
   // Arrival-time bookkeeping + tap + receiver hand-off. Runs at the
   // packet's arrival instant, so sim.now() IS the arrival time.
   void deliver(const Packet& packet);
   // Binary search over the sorted registry; nullptr for unregistered flows.
-  Endpoint* endpoint_for(FlowId flow);
-  const Endpoint* endpoint_for(FlowId flow) const;
+  const Endpoint* find(FlowId flow) const;
+  // The endpoint of a packet's flow; CHECK-fails when the flow has none.
+  Endpoint& endpoint_of(const Packet& packet);
 
   sim::Simulator& sim_;
   LinkConfig config_;
-  std::unique_ptr<ChannelModel> channel_;
-  Receiver receiver_;
-  LinkTap* tap_ = nullptr;
-  LinkStats stats_;
   std::vector<Endpoint> endpoints_;  // sorted by flow id
 
   // Time the transmitter finishes the last accepted packet.
@@ -182,7 +165,7 @@ class Link {
     std::size_t head_ = 0;
     std::size_t count_ = 0;
   };
-  mutable DepartureRing departures_;
+  DepartureRing departures_;
 };
 
 }  // namespace hsr::net

@@ -51,7 +51,6 @@ class Simulator {
   // next event and latches budget_exhausted(), so a wedged or runaway flow
   // terminates with a diagnosable state instead of spinning forever.
   void set_event_budget(std::uint64_t max_events) { event_budget_ = max_events; }
-  std::uint64_t event_budget() const { return event_budget_; }
   bool budget_exhausted() const { return budget_exhausted_; }
 
   std::uint64_t events_executed() const { return executed_; }

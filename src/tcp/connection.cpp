@@ -8,7 +8,7 @@ namespace {
 
 // The endpoint closures capture one Link pointer each; assert they stay
 // inside the callback SBO so wiring a connection never touches the heap
-// (the demux endpoints in run_multi_flow carry the same guarantee).
+// (the endpoints in run_multi_flow carry the same guarantee).
 PacketSendFn link_send_fn(net::Link& link) {
   auto fn = [&link](net::Packet p) { link.send(std::move(p)); };
   static_assert(PacketSendFn::holds_inline<decltype(fn)>(),
@@ -21,17 +21,22 @@ PacketSendFn link_send_fn(net::Link& link) {
 
 Connection::Connection(sim::Simulator& sim, FlowId flow, ConnectionConfig config,
                        std::unique_ptr<net::ChannelModel> down_channel,
-                       std::unique_ptr<net::ChannelModel> up_channel)
+                       std::unique_ptr<net::ChannelModel> up_channel,
+                       net::LinkTap* down_tap, net::LinkTap* up_tap)
     : sim_(sim),
       flow_(flow),
       cfg_(config),
-      downlink_(sim, config.downlink, std::move(down_channel)),
-      uplink_(sim, config.uplink, std::move(up_channel)),
+      downlink_(sim, config.downlink),
+      uplink_(sim, config.uplink),
       receiver_(sim, config.tcp, flow, link_send_fn(uplink_)),
       sender_(sim, config.tcp, flow, link_send_fn(downlink_)) {
   HSR_CHECK_MSG(cfg_.tcp.delayed_ack_b >= 1, "delayed_ack_b must be >= 1");
-  downlink_.set_receiver([this](const net::Packet& p) { receiver_.on_data(p); });
-  uplink_.set_receiver([this](const net::Packet& p) { sender_.on_ack(p); });
+  downlink_.register_endpoint(
+      flow, std::move(down_channel),
+      [this](const net::Packet& p) { receiver_.on_data(p); }, down_tap);
+  uplink_.register_endpoint(
+      flow, std::move(up_channel), [this](const net::Packet& p) { sender_.on_ack(p); },
+      up_tap);
 }
 
 double Connection::goodput_segments_per_s() const {

@@ -23,13 +23,12 @@ struct ConnectionConfig {
 
 class Connection {
  public:
+  // The taps are optional capture points (wireshark stand-ins; non-owning,
+  // must outlive the connection).
   Connection(sim::Simulator& sim, FlowId flow, ConnectionConfig config,
              std::unique_ptr<net::ChannelModel> down_channel,
-             std::unique_ptr<net::ChannelModel> up_channel);
-
-  // Optional capture taps (wireshark stand-ins); call before start().
-  void set_downlink_tap(net::LinkTap* tap) { downlink_.set_tap(tap); }
-  void set_uplink_tap(net::LinkTap* tap) { uplink_.set_tap(tap); }
+             std::unique_ptr<net::ChannelModel> up_channel,
+             net::LinkTap* down_tap = nullptr, net::LinkTap* up_tap = nullptr);
 
   void start() { sender_.start(); }
 

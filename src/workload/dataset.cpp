@@ -376,6 +376,42 @@ util::Status decode_sample_payload(const std::string& payload,
   return util::Status::ok();
 }
 
+// Every ProviderProfile field, doubles in shortest round-trip form: a
+// recalibrated profile changes the text even by one ulp, so a resume cannot
+// splice chunks simulated under two calibrations into one corpus.
+void put_profile(std::ostringstream& os, const radio::ProviderProfile& p) {
+  const auto put = [&os](double v) {
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    os << ',';
+    os.write(buf, res.ptr - buf);
+  };
+  const radio::RadioConfig& r = p.radio;
+  os << p.name << '|' << radio::provider_name(p.provider) << '|'
+     << static_cast<int>(p.mobility) << "|radio";
+  for (const double v :
+       {r.speed_mps, r.cell_spacing_m, r.initial_offset_frac, r.handoff_outage_median_s,
+        r.handoff_outage_sigma, r.handoff_loss, r.handoff_extra_delay_s,
+        r.downlink_only_outage_fraction, r.base_loss_down, r.base_loss_up,
+        r.edge_loss_down, r.edge_loss_up, r.uplink_fade_rate_per_s, r.uplink_fade_mean_s,
+        r.uplink_fade_loss, r.downlink_fade_rate_per_s, r.downlink_fade_mean_s,
+        r.downlink_fade_loss, r.coverage_gap_rate_per_s, r.coverage_gap_mean_s,
+        r.coverage_gap_loss, r.access_delay_s, r.edge_extra_delay_s,
+        r.delay_wander_amplitude_s, r.delay_wander_period_s}) {
+    put(v);
+  }
+  os << "|phases=" << r.speed_profile.size();
+  for (const radio::SpeedPhase& phase : r.speed_profile) {
+    put(phase.duration_s);
+    put(phase.speed_mps);
+  }
+  os << "|link";
+  put(p.downlink_rate_bps);
+  put(p.uplink_rate_bps);
+  os << ',' << p.core_delay.ns() << ',' << p.queue_capacity << ','
+     << p.receiver_window_segments;
+}
+
 // The configuration fingerprint a resume must match: everything that shapes
 // flow content or chunk boundaries. configure_flow/observe_flow hooks are
 // not digestible — the caller owns passing identical ones.
@@ -389,9 +425,9 @@ std::string canonical_spec_text(const DatasetSpec& spec, std::uint64_t flow_coun
      << spec.flow_duration_max.to_seconds()
      << " max_events=" << spec.max_sim_events_per_flow;
   for (const auto& c : spec.campaigns) {
-    os << " campaign=" << c.campaign << '|' << c.phone << '|'
-       << radio::provider_name(c.profile.provider) << '|' << c.flows << '|'
-       << c.trips;
+    os << " campaign=" << c.campaign << '|' << c.phone << '|' << c.flows << '|'
+       << c.trips << '|';
+    put_profile(os, c.profile);
   }
   return os.str();
 }

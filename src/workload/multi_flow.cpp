@@ -84,14 +84,18 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
   resolved.reserve(n);
   for (unsigned i = 0; i < n; ++i) resolved.push_back(spec.resolved_sender(i));
 
-  // Per-flow access stubs behind one shared queue: each flow's channel pair
-  // draws from its own fork of the scenario seed and carries its own
-  // scripted faults. Flow 0 keeps the legacy single-flow fork labels
-  // ("chan-down"/"chan-up", no index), which is what makes the run_flow
-  // N=1 adapter byte-identical to the historical single-flow path — note
-  // fork(label) and fork(label, 0) are DIFFERENT streams.
-  auto down_demux = std::make_unique<net::FlowDemuxChannel>();
-  auto up_demux = std::make_unique<net::FlowDemuxChannel>();
+  // The shared bottleneck pair: ONE DropTail queue and transmitter per
+  // direction, multiplexing every flow.
+  net::Link downlink(sim, down_cfg);
+  net::Link uplink(sim, up_cfg);
+
+  std::vector<FlowStack> stacks(n);
+  // Peak pending-event estimate for the queue pre-size: every in-flight
+  // data segment and every in-flight ACK carries one scheduled delivery
+  // event (bounded per flow by the receiver window), plus each flow's RTO
+  // and delayed-ACK timers and a margin for link-serialization and radio
+  // bookkeeping events.
+  std::size_t expected_pending = 128;
   for (unsigned i = 0; i < n; ++i) {
     const net::FlowId flow = i + 1;
     trace::FlowCapture& capture = out.captures[i];
@@ -99,10 +103,15 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     // Pre-size for this flow's fair share of the bottleneck so steady-state
     // recording never reallocates mid-simulation (an over-estimate for
     // unfair flows is harmless — reserve_for clamps).
-    capture.reserve_for(spec.duration,
-                        down_cfg.rate_bps / static_cast<double>(n),
-                        resolved[i].tcp.mss_bytes);
+    const double share = down_cfg.rate_bps / static_cast<double>(n);
+    capture.reserve_for(spec.duration, share, resolved[i].tcp.mss_bytes);
 
+    // The flow's access stub behind the shared queue: its channel pair
+    // draws from its own fork of the scenario seed and carries its own
+    // scripted faults. Flow 0 keeps the legacy single-flow fork labels
+    // ("chan-down"/"chan-up", no index), which is what makes the run_flow
+    // N=1 adapter byte-identical to the historical single-flow path — note
+    // fork(label) and fork(label, 0) are DIFFERENT streams.
     std::unique_ptr<net::ChannelModel> down = env.make_channel(
         radio::Direction::kDownlink,
         i == 0 ? rng.fork("chan-down") : rng.fork("chan-down", i));
@@ -129,24 +138,7 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
       injector->set_audit(&capture.faults, 'A');
       up = std::move(injector);
     }
-    down_demux->add_flow(flow, std::move(down));
-    up_demux->add_flow(flow, std::move(up));
-  }
 
-  // The shared bottleneck pair: ONE DropTail queue and transmitter per
-  // direction, multiplexing every flow.
-  net::Link downlink(sim, down_cfg, std::move(down_demux));
-  net::Link uplink(sim, up_cfg, std::move(up_demux));
-
-  std::vector<FlowStack> stacks(n);
-  // Peak pending-event estimate for the queue pre-size: every in-flight
-  // data segment and every in-flight ACK carries one scheduled delivery
-  // event (bounded per flow by the receiver window), plus each flow's RTO
-  // and delayed-ACK timers and a margin for link-serialization and radio
-  // bookkeeping events.
-  std::size_t expected_pending = 128;
-  for (unsigned i = 0; i < n; ++i) {
-    const net::FlowId flow = i + 1;
     const tcp::TcpConfig tcfg = tcp::make_tcp_config(
         resolved[i].tcp, spec.profile.receiver_window_segments);
     expected_pending += 2 * static_cast<std::size_t>(tcfg.receiver_window) + 8;
@@ -165,27 +157,28 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     // Pre-size the endpoints' diagnostic series for this flow's fair share
     // of the bottleneck — same contract as the capture reserve above: no
     // vector growth once the flow reaches steady state.
-    const double share = down_cfg.rate_bps / static_cast<double>(n);
     stacks[i].sender->reserve_for(spec.duration, share);
     stacks[i].receiver->reserve_for(spec.duration, share);
 
-    // Per-flow demux endpoints. The closures must stay inside the Receiver
-    // SBO: a heap fallback here would put an allocation on every delivery.
+    // The flow's endpoints. The closures must stay inside the Receiver SBO:
+    // a heap fallback here would put an allocation on every delivery.
     auto data_endpoint = [r = stacks[i].receiver.get()](const net::Packet& p) {
       r->on_data(p);
     };
     static_assert(net::Link::Receiver::holds_inline<decltype(data_endpoint)>(),
-                  "demux data endpoint outgrew the Link::Receiver SBO; "
+                  "data endpoint outgrew the Link::Receiver SBO; "
                   "per-packet delivery would heap-allocate");
-    downlink.register_endpoint(flow, std::move(data_endpoint), &out.captures[i].data);
+    downlink.register_endpoint(flow, std::move(down), std::move(data_endpoint),
+                               &capture.data);
 
     auto ack_endpoint = [s = stacks[i].sender.get()](const net::Packet& p) {
       s->on_ack(p);
     };
     static_assert(net::Link::Receiver::holds_inline<decltype(ack_endpoint)>(),
-                  "demux ACK endpoint outgrew the Link::Receiver SBO; "
+                  "ACK endpoint outgrew the Link::Receiver SBO; "
                   "per-packet delivery would heap-allocate");
-    uplink.register_endpoint(flow, std::move(ack_endpoint), &out.captures[i].acks);
+    uplink.register_endpoint(flow, std::move(up), std::move(ack_endpoint),
+                             &capture.acks);
   }
   sim.reserve_events(expected_pending);
 

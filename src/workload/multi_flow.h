@@ -1,9 +1,9 @@
 // Shared-bottleneck multi-flow scenarios: N concurrent TCP senders pushing
 // through ONE bottleneck link pair — the cell every passenger's flow shares.
-// One real DropTail queue multiplexes all flows (net::Link's demuxed
-// endpoint registry), each flow keeps its own TCP state, its own capture,
-// its own "access stub" channel (private radio randomness and scripted
-// faults, via net::FlowDemuxChannel), and its own per-flow LinkStats
+// One real DropTail queue multiplexes all flows, each attached as one
+// net::Link endpoint per direction. Each flow keeps its own TCP state, its
+// own capture, its own "access stub" channel (private radio randomness and
+// scripted faults, owned by its endpoint), and its own per-flow LinkStats
 // breakdown of the shared queue — so fairness and queue-overflow
 // attribution are measurable per flow.
 //

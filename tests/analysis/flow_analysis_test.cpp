@@ -282,11 +282,9 @@ TEST(GroundTruthAgreementTest, TimeoutCountMatchesStackEvents) {
       },
       [](const net::Packet&, TimePoint) { return Duration::zero(); },
       util::Rng(1));
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                       std::move(blackout));
   trace::FlowCapture cap;
-  conn.set_downlink_tap(&cap.data);
-  conn.set_uplink_tap(&cap.acks);
+  tcp::Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
+                       std::move(blackout), &cap.data, &cap.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(20));
 

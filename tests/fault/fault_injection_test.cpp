@@ -153,10 +153,11 @@ TEST(FaultInjectorTest, DuplicatesCountTowardLinkStats) {
   net::LinkConfig cfg;
   cfg.rate_bps = 10e6;
   cfg.prop_delay = Duration::millis(5);
-  net::Link link(sim, cfg,
-                 std::make_unique<FaultInjector>(plan, std::make_unique<PerfectChannel>()));
+  net::Link link(sim, cfg);
   unsigned arrivals = 0;
-  link.set_receiver([&arrivals](const Packet&) { ++arrivals; });
+  link.register_endpoint(
+      0, std::make_unique<FaultInjector>(plan, std::make_unique<PerfectChannel>()),
+      [&arrivals](const Packet&) { ++arrivals; });
 
   for (net::SeqNo s = 1; s <= 5; ++s) link.send(data_packet(s));
   sim.run_until(TimePoint::from_seconds(1));
@@ -230,9 +231,8 @@ SpuriousRun run_scripted_spurious() {
   injector->set_audit(&capture.faults, 'A');
 
   tcp::Connection conn(sim, 1, small_round_config(),
-                       std::make_unique<PerfectChannel>(), std::move(injector));
-  conn.set_downlink_tap(&capture.data);
-  conn.set_uplink_tap(&capture.acks);
+                       std::make_unique<PerfectChannel>(), std::move(injector),
+                       &capture.data, &capture.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(6));
 
@@ -285,9 +285,7 @@ TEST(ScriptedRecoveryStallTest, RetransmissionDropsPinQ) {
   tcp::ConnectionConfig cfg = small_round_config();
   cfg.tcp.total_segments = UINT64_MAX;  // unbounded flow
   tcp::Connection conn(sim, 1, cfg, std::move(injector),
-                       std::make_unique<PerfectChannel>());
-  conn.set_downlink_tap(&capture.data);
-  conn.set_uplink_tap(&capture.acks);
+                       std::make_unique<PerfectChannel>(), &capture.data, &capture.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(20));
 

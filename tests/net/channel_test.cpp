@@ -292,65 +292,6 @@ TEST(FunctionalChannelTest, TimeVaryingDropProbability) {
   EXPECT_FALSE(ch.decide(make_packet(), TimePoint::from_seconds(1.5)).dropped);
 }
 
-namespace {
-Packet flow_packet(FlowId flow) {
-  Packet p = make_packet();
-  p.flow = flow;
-  return p;
-}
-}  // namespace
-
-TEST(FlowDemuxChannelTest, RoutesByFlowId) {
-  FlowDemuxChannel demux;
-  demux.add_flow(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(1)));
-  demux.add_flow(2, std::make_unique<PerfectChannel>());
-  EXPECT_TRUE(demux.has_flow(1));
-  EXPECT_FALSE(demux.has_flow(3));
-  EXPECT_EQ(demux.flow_count(), 2u);
-
-  EXPECT_TRUE(demux.decide(flow_packet(1), TimePoint::zero()).dropped);
-  EXPECT_FALSE(demux.decide(flow_packet(2), TimePoint::zero()).dropped);
-}
-
-TEST(FlowDemuxChannelTest, VerdictsPassThroughUntouched) {
-  // The demux must NOT wrap verdicts in a composite path: a single-flow
-  // demux is bit-transparent (the run_flow N=1 byte-identity relies on it).
-  FlowDemuxChannel demux;
-  demux.add_flow(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(7)));
-  const ChannelVerdict v = demux.decide(flow_packet(1), TimePoint::zero());
-  ASSERT_TRUE(v.dropped);
-  EXPECT_EQ(v.cause.category, DropCategory::kBernoulli);
-  EXPECT_FALSE(v.cause.has_component());
-}
-
-TEST(FlowDemuxChannelTest, UnroutedFlowsGetCleanDelivery) {
-  FlowDemuxChannel demux;
-  demux.add_flow(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(3)));
-  const ChannelVerdict v = demux.decide(flow_packet(5), TimePoint::zero());
-  EXPECT_FALSE(v.dropped);
-  EXPECT_EQ(v.extra_delay, Duration::zero());
-}
-
-TEST(FlowDemuxChannelTest, EachFlowKeepsItsOwnChannelState) {
-  // Two Bernoulli channels with the same seed stay in lockstep only if each
-  // flow consumes its OWN randomness stream.
-  FlowDemuxChannel demux;
-  demux.add_flow(1, std::make_unique<BernoulliChannel>(0.5, util::Rng(11)));
-  demux.add_flow(2, std::make_unique<BernoulliChannel>(0.5, util::Rng(11)));
-  for (int i = 0; i < 64; ++i) {
-    const bool a = demux.decide(flow_packet(1), TimePoint::zero()).dropped;
-    const bool b = demux.decide(flow_packet(2), TimePoint::zero()).dropped;
-    EXPECT_EQ(a, b) << "draw " << i;
-  }
-}
-
-TEST(FlowDemuxChannelDeathTest, RejectsNullAndDuplicateRoutes) {
-  FlowDemuxChannel demux;
-  demux.add_flow(1, std::make_unique<PerfectChannel>());
-  EXPECT_DEATH(demux.add_flow(1, std::make_unique<PerfectChannel>()), "flow");
-  EXPECT_DEATH(demux.add_flow(2, nullptr), "channel");
-}
-
 TEST(DropCauseTest, CategoryNamesAreStable) {
   EXPECT_STREQ(drop_category_name(DropCategory::kQueueOverflow), "queue-overflow");
   EXPECT_STREQ(drop_category_name(DropCategory::kGilbertElliottBad),

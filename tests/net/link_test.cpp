@@ -37,15 +37,21 @@ class RecordingTap : public LinkTap {
   std::vector<Duration> transits;
 };
 
+// Attaches `flow` over a channel that never drops or delays.
+void attach(Link& link, FlowId flow, Link::Receiver receiver, LinkTap* tap = nullptr) {
+  link.register_endpoint(flow, std::make_unique<PerfectChannel>(), std::move(receiver),
+                         tap);
+}
+
 TEST(LinkTest, DeliversWithSerializationPlusPropagation) {
   sim::Simulator sim;
   LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1 byte per microsecond
   cfg.prop_delay = Duration::millis(10);
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
 
   TimePoint arrival;
-  link.set_receiver([&](const Packet&) { arrival = sim.now(); });
+  attach(link, 0, [&](const Packet&) { arrival = sim.now(); });
   link.send(data_packet(1000));  // 1ms serialization
   sim.run();
   EXPECT_EQ(arrival, TimePoint::zero() + Duration::millis(11));
@@ -59,10 +65,10 @@ TEST(LinkTest, BackToBackPacketsQueueBehindEachOther) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;
   cfg.prop_delay = Duration::zero();
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
 
   std::vector<TimePoint> arrivals;
-  link.set_receiver([&](const Packet&) { arrivals.push_back(sim.now()); });
+  attach(link, 0, [&](const Packet&) { arrivals.push_back(sim.now()); });
   link.send(data_packet(1000));  // finishes at 1ms
   link.send(data_packet(1000));  // finishes at 2ms
   sim.run();
@@ -76,10 +82,10 @@ TEST(LinkTest, PreservesFifoOrderWithoutJitter) {
   LinkConfig cfg;
   cfg.rate_bps = 1e6;
   cfg.queue_capacity = 100;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
 
   std::vector<std::uint64_t> seen;
-  link.set_receiver([&](const Packet& p) { seen.push_back(p.seq); });
+  attach(link, 0, [&](const Packet& p) { seen.push_back(p.seq); });
   for (std::uint64_t i = 1; i <= 20; ++i) {
     Packet p = data_packet();
     p.seq = i;
@@ -95,10 +101,9 @@ TEST(LinkTest, DropTailOnQueueOverflow) {
   LinkConfig cfg;
   cfg.rate_bps = 8e3;  // 1ms per byte: long queue residence
   cfg.queue_capacity = 3;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
   RecordingTap tap;
-  link.set_tap(&tap);
-  link.set_receiver([](const Packet&) {});
+  attach(link, 0, [](const Packet&) {}, &tap);
 
   for (int i = 0; i < 5; ++i) link.send(data_packet(100));
   sim.run();
@@ -115,29 +120,31 @@ TEST(LinkTest, QueueDrainsOverTime) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;
   cfg.queue_capacity = 2;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
-  link.set_receiver([](const Packet&) {});
+  Link link(sim, cfg);
+  attach(link, 0, [](const Packet&) {});
 
   link.send(data_packet(1000));
   link.send(data_packet(1000));
-  EXPECT_EQ(link.queue_depth(), 2u);
+  link.send(data_packet(1000));  // the queue is full: tail-dropped
+  EXPECT_EQ(link.stats().dropped_queue(), 1u);
   sim.run();
-  EXPECT_EQ(link.queue_depth(), 0u);
-  // Capacity is available again.
+  EXPECT_EQ(link.stats().delivered, 2u);
+  // Drained: a full queue's worth of capacity is available again.
+  link.send(data_packet(1000));
   link.send(data_packet(1000));
   sim.run();
-  EXPECT_EQ(link.stats().dropped_queue(), 0u);
-  EXPECT_EQ(link.stats().delivered, 3u);
+  EXPECT_EQ(link.stats().dropped_queue(), 1u);
+  EXPECT_EQ(link.stats().delivered, 4u);
 }
 
 TEST(LinkTest, ChannelLossCountsAndReportsToTap) {
   sim::Simulator sim;
   LinkConfig cfg;
-  Link link(sim, cfg, std::make_unique<BernoulliChannel>(1.0, util::Rng(1)));
+  Link link(sim, cfg);
   RecordingTap tap;
-  link.set_tap(&tap);
   int received = 0;
-  link.set_receiver([&](const Packet&) { ++received; });
+  link.register_endpoint(0, std::make_unique<BernoulliChannel>(1.0, util::Rng(1)),
+                         [&](const Packet&) { ++received; }, &tap);
 
   link.send(data_packet());
   sim.run();
@@ -155,8 +162,9 @@ TEST(LinkTest, StatsLossRateMixed) {
   LinkConfig cfg;
   cfg.rate_bps = 100e6;
   cfg.queue_capacity = 1000;
-  Link link(sim, cfg, std::make_unique<BernoulliChannel>(0.2, util::Rng(33)));
-  link.set_receiver([](const Packet&) {});
+  Link link(sim, cfg);
+  link.register_endpoint(0, std::make_unique<BernoulliChannel>(0.2, util::Rng(33)),
+                         [](const Packet&) {});
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     link.send(data_packet(100));
@@ -170,10 +178,9 @@ TEST(LinkTest, StatsLossRateMixed) {
 
 TEST(LinkTest, TapSeesEverySend) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
+  Link link(sim, LinkConfig{});
   RecordingTap tap;
-  link.set_tap(&tap);
-  link.set_receiver([](const Packet&) {});
+  attach(link, 0, [](const Packet&) {}, &tap);
   for (int i = 0; i < 7; ++i) link.send(data_packet());
   sim.run();
   EXPECT_EQ(tap.sends.size(), 7u);
@@ -182,15 +189,15 @@ TEST(LinkTest, TapSeesEverySend) {
 
 TEST(LinkTest, StampsSentAt) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
+  Link link(sim, LinkConfig{});
   TimePoint stamped;
-  link.set_receiver([&](const Packet& p) { stamped = p.sent_at; });
+  attach(link, 0, [&](const Packet& p) { stamped = p.sent_at; });
   sim.after(Duration::millis(5), [&] { link.send(data_packet()); });
   sim.run();
   EXPECT_EQ(stamped, TimePoint::zero() + Duration::millis(5));
 }
 
-// --- demuxed per-flow endpoints ----------------------------------------------
+// --- per-flow endpoints -------------------------------------------------------
 
 Packet flow_packet(FlowId flow, std::uint32_t size = 1000) {
   Packet p = data_packet(size);
@@ -198,15 +205,25 @@ Packet flow_packet(FlowId flow, std::uint32_t size = 1000) {
   return p;
 }
 
+// Records the id of every packet it decides, and delivers it.
+class RecordingChannel final : public ChannelModel {
+ public:
+  explicit RecordingChannel(std::vector<std::uint64_t>* seen) : seen_(seen) {}
+  ChannelVerdict decide(const Packet& p, TimePoint) override {
+    seen_->push_back(p.id);
+    return ChannelVerdict::deliver();
+  }
+
+ private:
+  std::vector<std::uint64_t>* seen_;
+};
+
 TEST(LinkEndpointTest, RoutesEachFlowToItsOwnReceiver) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
+  Link link(sim, LinkConfig{});
   std::vector<FlowId> to_one, to_two;
-  link.register_endpoint(1, [&](const Packet& p) { to_one.push_back(p.flow); });
-  link.register_endpoint(2, [&](const Packet& p) { to_two.push_back(p.flow); });
-  EXPECT_TRUE(link.has_endpoint(1));
-  EXPECT_FALSE(link.has_endpoint(3));
-  EXPECT_EQ(link.endpoint_count(), 2u);
+  attach(link, 1, [&](const Packet& p) { to_one.push_back(p.flow); });
+  attach(link, 2, [&](const Packet& p) { to_two.push_back(p.flow); });
 
   link.send(flow_packet(1));
   link.send(flow_packet(2));
@@ -216,25 +233,38 @@ TEST(LinkEndpointTest, RoutesEachFlowToItsOwnReceiver) {
   EXPECT_EQ(to_two, (std::vector<FlowId>{2}));
 }
 
-TEST(LinkEndpointTest, UnregisteredFlowsFallBackToAggregateReceiver) {
+TEST(LinkEndpointTest, EachFlowsChannelDecidesOnlyItsOwnPacketsInSendOrder) {
+  // Per-flow loss processes must evolve from their own flow's packet stream
+  // alone: each endpoint's channel sees exactly its flow's packets, in the
+  // order they were sent, and nothing of the other flow's.
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  std::vector<FlowId> endpoint_saw, fallback_saw;
-  link.register_endpoint(1, [&](const Packet& p) { endpoint_saw.push_back(p.flow); });
-  link.set_receiver([&](const Packet& p) { fallback_saw.push_back(p.flow); });
+  LinkConfig cfg;
+  cfg.queue_capacity = 100;
+  Link link(sim, cfg);
+  std::vector<std::uint64_t> seen_one, seen_two;
+  link.register_endpoint(1, std::make_unique<RecordingChannel>(&seen_one),
+                         [](const Packet&) {});
+  link.register_endpoint(2, std::make_unique<RecordingChannel>(&seen_two),
+                         [](const Packet&) {});
 
-  link.send(flow_packet(1));
-  link.send(flow_packet(9));  // nobody registered flow 9
+  std::vector<std::uint64_t> sent_one, sent_two;
+  for (FlowId flow : {1, 2, 1, 1, 2, 1}) {
+    Packet p = flow_packet(flow);
+    (flow == 1 ? sent_one : sent_two).push_back(p.id);
+    link.send(std::move(p));
+  }
   sim.run();
-  EXPECT_EQ(endpoint_saw, (std::vector<FlowId>{1}));
-  EXPECT_EQ(fallback_saw, (std::vector<FlowId>{9}));
+  EXPECT_EQ(seen_one, sent_one);
+  EXPECT_EQ(seen_two, sent_two);
+  EXPECT_EQ(link.endpoint_stats(1).delivered, 4u);
+  EXPECT_EQ(link.endpoint_stats(2).delivered, 2u);
 }
 
 TEST(LinkEndpointTest, SplitsStatsPerFlowAndSumsToAggregate) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  link.register_endpoint(1, [](const Packet&) {});
-  link.register_endpoint(2, [](const Packet&) {});
+  Link link(sim, LinkConfig{});
+  attach(link, 1, [](const Packet&) {});
+  attach(link, 2, [](const Packet&) {});
 
   link.send(flow_packet(1, 500));
   link.send(flow_packet(1, 500));
@@ -256,10 +286,10 @@ TEST(LinkEndpointTest, TwoFlowsShareOneFifoQueue) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1ms per 1000-byte packet
   cfg.prop_delay = Duration::zero();
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
   std::vector<FlowId> order;
-  link.register_endpoint(1, [&](const Packet& p) { order.push_back(p.flow); });
-  link.register_endpoint(2, [&](const Packet& p) { order.push_back(p.flow); });
+  attach(link, 1, [&](const Packet& p) { order.push_back(p.flow); });
+  attach(link, 2, [&](const Packet& p) { order.push_back(p.flow); });
 
   // Interleaved arrivals serialize through the ONE transmitter in FIFO
   // order — flow 2's packet waits behind flow 1's, not on a private queue.
@@ -276,10 +306,10 @@ TEST(LinkEndpointTest, QueueOverflowDropsAttributeToTheArrivingFlow) {
   LinkConfig cfg;
   cfg.rate_bps = 8e3;  // slow: everything queues
   cfg.queue_capacity = 2;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
   RecordingTap tap1, tap2;
-  link.register_endpoint(1, [](const Packet&) {}, &tap1);
-  link.register_endpoint(2, [](const Packet&) {}, &tap2);
+  attach(link, 1, [](const Packet&) {}, &tap1);
+  attach(link, 2, [](const Packet&) {}, &tap2);
 
   // Flow 1 fills the shared queue; flow 2's arrivals are the ones tail-
   // dropped, and the drop lands in FLOW 2's stats and tap.
@@ -298,40 +328,24 @@ TEST(LinkEndpointTest, QueueOverflowDropsAttributeToTheArrivingFlow) {
   EXPECT_EQ(link.endpoint_stats(2).delivered, 0u);
 }
 
-TEST(LinkEndpointTest, AggregateTapStillSeesEveryFlow) {
-  sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  RecordingTap aggregate, mine;
-  link.set_tap(&aggregate);
-  link.register_endpoint(1, [](const Packet&) {}, &mine);
-  link.register_endpoint(2, [](const Packet&) {});
-
-  link.send(flow_packet(1));
-  link.send(flow_packet(2));
-  sim.run();
-  EXPECT_EQ(aggregate.sends.size(), 2u);
-  EXPECT_EQ(aggregate.delivers.size(), 2u);
-  EXPECT_EQ(mine.sends.size(), 1u);
-  EXPECT_EQ(mine.delivers.size(), 1u);
-}
-
 TEST(LinkEndpointDeathTest, RejectsDuplicateAndUnknownFlows) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  link.register_endpoint(1, [](const Packet&) {});
-  EXPECT_DEATH(link.register_endpoint(1, [](const Packet&) {}),
-               "already has an endpoint");
+  Link link(sim, LinkConfig{});
+  attach(link, 1, [](const Packet&) {});
+  EXPECT_DEATH(attach(link, 1, [](const Packet&) {}), "already has an endpoint");
+  EXPECT_DEATH(link.register_endpoint(2, nullptr, [](const Packet&) {}), "null channel");
   EXPECT_DEATH(link.endpoint_stats(7), "unregistered flow");
+  EXPECT_DEATH(link.send(flow_packet(7)), "no endpoint");
 }
 
 TEST(LinkDeathTest, RejectsBadConfig) {
   sim::Simulator sim;
   LinkConfig zero_rate;
   zero_rate.rate_bps = 0.0;
-  EXPECT_DEATH(Link(sim, zero_rate, std::make_unique<PerfectChannel>()), "rate");
+  EXPECT_DEATH(Link(sim, zero_rate), "rate");
   LinkConfig zero_queue;
   zero_queue.queue_capacity = 0;
-  EXPECT_DEATH(Link(sim, zero_queue, std::make_unique<PerfectChannel>()), "queue");
+  EXPECT_DEATH(Link(sim, zero_queue), "queue");
 }
 
 }  // namespace

@@ -148,22 +148,18 @@ TEST(FlowAllocTest, SteadyStateIsAllocationFree) {
       << "allocs=" << run.steady_allocs << " events=" << run.steady_events;
 }
 
-// The shared-bottleneck delivery path: one Link, a FlowDemuxChannel of four
-// per-flow channels, four registered endpoint Receivers. Once the queue and
-// event slab reach their high-water mark, pushing packets of every flow
-// through demux decide(), endpoint lookup, and endpoint delivery costs ZERO
-// heap allocations — the per-flow registry is binary-searched, not hashed,
-// and the endpoint closures fit the Receiver SBO.
+// The shared-bottleneck delivery path: one Link, four registered endpoints
+// with their own channels and Receivers. Once the queue and event slab reach
+// their high-water mark, pushing packets of every flow through endpoint
+// lookup, the flow's channel decide(), and endpoint delivery costs ZERO heap
+// allocations — the per-flow registry is binary-searched, not hashed, and
+// the endpoint closures fit the Receiver SBO.
 TEST(MultiFlowAllocTest, FourFlowSteadyStateDeliveryIsAllocationFree) {
   sim::Simulator sim;
   net::LinkConfig cfg;
   cfg.rate_bps = 8e9;  // fast: no overflow, pure delivery churn
   cfg.queue_capacity = 64;
-  auto demux = std::make_unique<net::FlowDemuxChannel>();
-  for (net::FlowId flow = 1; flow <= 4; ++flow) {
-    demux->add_flow(flow, std::make_unique<net::PerfectChannel>());
-  }
-  net::Link link(sim, cfg, std::move(demux));
+  net::Link link(sim, cfg);
 
   std::uint64_t delivered[4] = {};
   for (net::FlowId flow = 1; flow <= 4; ++flow) {
@@ -172,7 +168,8 @@ TEST(MultiFlowAllocTest, FourFlowSteadyStateDeliveryIsAllocationFree) {
     };
     static_assert(net::Link::Receiver::holds_inline<decltype(endpoint)>(),
                   "endpoint closure outgrew the Receiver SBO");
-    link.register_endpoint(flow, std::move(endpoint));
+    link.register_endpoint(flow, std::make_unique<net::PerfectChannel>(),
+                           std::move(endpoint));
   }
 
   auto burst = [&] {
@@ -196,7 +193,7 @@ TEST(MultiFlowAllocTest, FourFlowSteadyStateDeliveryIsAllocationFree) {
 // The full shared-bottleneck scenario at scale: 64 concurrent TCP senders
 // through ONE bottleneck queue, each with its own capture, scoreboards,
 // segment ring, and RTO timer. After a warm-up tranche, the whole fleet —
-// demux, per-flow delivery, 64 interleaved ACK clocks, loss recovery under
+// endpoint lookup, per-flow delivery, 64 interleaved ACK clocks, loss recovery under
 // queue overflow — runs with ZERO heap allocations.
 TEST(MultiFlowAllocTest, SixtyFourFlowSteadyStateIsAllocationFree) {
   workload::MultiFlowSpec spec;

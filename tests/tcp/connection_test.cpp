@@ -84,9 +84,7 @@ TEST_P(PftkValidation, GoodputNearPftkPrediction) {
   trace::FlowCapture cap;
   Connection conn(sim, 1, cfg,
                   std::make_unique<net::BernoulliChannel>(p, util::Rng(99)),
-                  std::make_unique<net::PerfectChannel>());
-  conn.set_downlink_tap(&cap.data);
-  conn.set_uplink_tap(&cap.acks);
+                  std::make_unique<net::PerfectChannel>(), &cap.data, &cap.acks);
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(120));
 

@@ -7,12 +7,16 @@
 // chunk.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/io_fault.h"
 #include "trace/trace_binary.h"
@@ -242,9 +246,82 @@ TEST(StreamingDatasetTest, EnospcInterruptThenResumeIsByteIdentical) {
   std::remove(path.c_str());
 }
 
+// One perturbation per ProviderProfile field. Doubles move by one ulp, so a
+// digest that prints them with less than round-trip precision fails too.
+struct ProfilePerturbation {
+  const char* field;
+  std::function<void(radio::ProviderProfile&)> apply;
+};
+
+std::vector<ProfilePerturbation> profile_perturbations() {
+  const auto ulp = [](double& v) { v = std::nextafter(v, HUGE_VAL); };
+  std::vector<ProfilePerturbation> out = {
+      {"name", [](radio::ProviderProfile& p) { p.name += "-recalibrated"; }},
+      {"provider",
+       [](radio::ProviderProfile& p) {
+         p.provider = p.provider == radio::Provider::kChinaTelecom3g
+                          ? radio::Provider::kChinaUnicom3g
+                          : radio::Provider::kChinaTelecom3g;
+       }},
+      {"mobility",
+       [](radio::ProviderProfile& p) {
+         p.mobility = p.mobility == radio::Mobility::kHighSpeed
+                          ? radio::Mobility::kStationary
+                          : radio::Mobility::kHighSpeed;
+       }},
+      {"speed_profile: extra phase",
+       [](radio::ProviderProfile& p) { p.radio.speed_profile.push_back({10.0, 0.0}); }},
+      {"speed_profile: phase duration",
+       [ulp](radio::ProviderProfile& p) { ulp(p.radio.speed_profile.at(0).duration_s); }},
+      {"speed_profile: phase speed",
+       [ulp](radio::ProviderProfile& p) { ulp(p.radio.speed_profile.at(0).speed_mps); }},
+      {"downlink_rate_bps", [ulp](radio::ProviderProfile& p) { ulp(p.downlink_rate_bps); }},
+      {"uplink_rate_bps", [ulp](radio::ProviderProfile& p) { ulp(p.uplink_rate_bps); }},
+      {"core_delay",
+       [](radio::ProviderProfile& p) { p.core_delay += util::Duration::nanos(1); }},
+      {"queue_capacity", [](radio::ProviderProfile& p) { ++p.queue_capacity; }},
+      {"receiver_window_segments",
+       [](radio::ProviderProfile& p) { ++p.receiver_window_segments; }},
+  };
+  using R = radio::RadioConfig;
+  const std::pair<const char*, double R::*> radio_fields[] = {
+      {"speed_mps", &R::speed_mps},
+      {"cell_spacing_m", &R::cell_spacing_m},
+      {"initial_offset_frac", &R::initial_offset_frac},
+      {"handoff_outage_median_s", &R::handoff_outage_median_s},
+      {"handoff_outage_sigma", &R::handoff_outage_sigma},
+      {"handoff_loss", &R::handoff_loss},
+      {"handoff_extra_delay_s", &R::handoff_extra_delay_s},
+      {"downlink_only_outage_fraction", &R::downlink_only_outage_fraction},
+      {"base_loss_down", &R::base_loss_down},
+      {"base_loss_up", &R::base_loss_up},
+      {"edge_loss_down", &R::edge_loss_down},
+      {"edge_loss_up", &R::edge_loss_up},
+      {"uplink_fade_rate_per_s", &R::uplink_fade_rate_per_s},
+      {"uplink_fade_mean_s", &R::uplink_fade_mean_s},
+      {"uplink_fade_loss", &R::uplink_fade_loss},
+      {"downlink_fade_rate_per_s", &R::downlink_fade_rate_per_s},
+      {"downlink_fade_mean_s", &R::downlink_fade_mean_s},
+      {"downlink_fade_loss", &R::downlink_fade_loss},
+      {"coverage_gap_rate_per_s", &R::coverage_gap_rate_per_s},
+      {"coverage_gap_mean_s", &R::coverage_gap_mean_s},
+      {"coverage_gap_loss", &R::coverage_gap_loss},
+      {"access_delay_s", &R::access_delay_s},
+      {"edge_extra_delay_s", &R::edge_extra_delay_s},
+      {"delay_wander_amplitude_s", &R::delay_wander_amplitude_s},
+      {"delay_wander_period_s", &R::delay_wander_period_s},
+  };
+  for (const auto& [field, member] : radio_fields) {
+    out.push_back({field, [ulp, member](radio::ProviderProfile& p) { ulp(p.radio.*member); }});
+  }
+  return out;
+}
+
 TEST(StreamingDatasetTest, ResumeUnderADifferentSpecIsRejected) {
   DatasetSpec spec = small_spec();
   spec.threads = 1;
+  // One speed phase, so the phase perturbations below have a phase to move.
+  spec.campaigns.front().profile.radio.speed_profile = {{30.0, 50.0}};
 
   // Interrupt at the merge: every chunk is committed, only the final rename
   // is torn, so the work directory holds a complete manifest.
@@ -275,6 +352,20 @@ TEST(StreamingDatasetTest, ResumeUnderADifferentSpecIsRejected) {
   EXPECT_NE(rejected.config_status.message().find("digest mismatch"), std::string::npos)
       << rejected.config_status.to_string();
   EXPECT_EQ(rejected.flows_completed, 0u);
+
+  // So would a resume after recalibrating any field of a campaign's
+  // provider profile: chunks simulated under the old calibration must not
+  // be spliced into the new one.
+  for (const ProfilePerturbation& perturbation : profile_perturbations()) {
+    SCOPED_TRACE(perturbation.field);
+    DatasetSpec recalibrated = spec;
+    perturbation.apply(recalibrated.campaigns.front().profile);
+    const StreamingDatasetResult r = generate_dataset_streaming(recalibrated, resume_opts);
+    ASSERT_FALSE(r.config_status.is_ok());
+    EXPECT_NE(r.config_status.message().find("digest mismatch"), std::string::npos)
+        << r.config_status.to_string();
+    EXPECT_EQ(r.flows_completed, 0u);
+  }
 
   // The right spec still resumes cleanly afterwards — rejection is
   // side-effect-free.

@@ -366,9 +366,7 @@ hsr::trace::FlowCapture replay(
   }
 
   hsr::tcp::Connection conn(sim, 1, cfg, std::move(down_channel),
-                            std::move(up_channel));
-  conn.set_downlink_tap(&capture.data);
-  conn.set_uplink_tap(&capture.acks);
+                            std::move(up_channel), &capture.data, &capture.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(duration_s));
   return capture;
