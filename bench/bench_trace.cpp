@@ -4,13 +4,15 @@
 // At 10^5-10^6-flow campaign scale the corpus I/O — not the simulator — is
 // the wall, so this bench records the numbers that justify the binary
 // format: write and read throughput (flows/s and MB/s of the format's own
-// bytes) and bytes per flow for both formats, over identical captures.
+// bytes) and bytes per flow for both formats, over identical captures, plus
+// the throughput of util::crc32c over the encoded archive (every corpus byte
+// is checksummed at write, commit and verify).
 //
 //   ./bench_trace                 # full run: 16 flows x 60 s sim, best of 3
 //   ./bench_trace --quick         # CI smoke: 4 flows x 10 s sim, 1 rep
 //   python3 tools/bench_compare.py baseline.json current.json
 //
-// Emits bench_out/BENCH_trace.json (schema_version 2: flat best-of-N
+// Emits bench_out/BENCH_trace.json (schema_version 3: flat best-of-N
 // "metrics", per-metric "spread"; "_per_s" keys are throughputs — see
 // bench_hotpath.cpp for the conventions bench_compare.py keys off).
 //
@@ -18,6 +20,7 @@
 // (exit 1) if the binary format is not at least 4x smaller than text —
 // the corpus-scale storage contract, pinned here and in the trace_query
 // selftest.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -32,6 +35,7 @@
 #include "radio/profiles.h"
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
+#include "util/crc32c.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -148,6 +152,17 @@ int main(int argc, char** argv) {
   const double size_ratio =
       static_cast<double>(text_bytes) / static_cast<double>(binary_bytes);
 
+  // --- checksum throughput: enough passes over the archive for a stable
+  // reading (~256 MB per rep, ~32 MB in quick mode) ---------------------------
+  const std::uint32_t archive_crc = hsr::util::crc32c(binary_corpus);
+  const std::uint64_t crc_passes =
+      std::max<std::uint64_t>(1, (quick ? 32'000'000 : 256'000'000) / binary_bytes);
+  const Throughput crc = best_of(reps, flow_count, crc_passes * binary_bytes, [&] {
+    for (std::uint64_t k = 0; k < crc_passes; ++k) {
+      if (hsr::util::crc32c(binary_corpus) != archive_crc) std::abort();
+    }
+  });
+
   // --- write throughput ------------------------------------------------------
   const Throughput text_write = best_of(reps, flow_count, text_bytes, [&] {
     std::ostringstream os;
@@ -190,6 +205,7 @@ int main(int argc, char** argv) {
   std::cout << "read         text " << text_read.flows_per_s << " flows/s ("
             << text_read.mb_per_s << " MB/s)  binary " << bin_read.flows_per_s
             << " flows/s (" << bin_read.mb_per_s << " MB/s)\n";
+  std::cout << "crc32c       " << crc.mb_per_s << " MB/s over the binary archive\n";
 
   const auto path = hsr::bench::out_dir() / "BENCH_trace.json";
   std::ofstream json(path);
@@ -202,7 +218,7 @@ int main(int argc, char** argv) {
   };
   json << "{\n"
        << "  \"bench\": \"trace\",\n"
-       << "  \"schema_version\": 2,\n"
+       << "  \"schema_version\": 3,\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"seed\": " << hsr::bench::seed() << ",\n"
@@ -218,6 +234,7 @@ int main(int argc, char** argv) {
        << "    \"text_read_mb_per_s\": " << text_read.mb_per_s << ",\n"
        << "    \"binary_read_flows_per_s\": " << bin_read.flows_per_s << ",\n"
        << "    \"binary_read_mb_per_s\": " << bin_read.mb_per_s << ",\n"
+       << "    \"crc32c_mb_per_s\": " << crc.mb_per_s << ",\n"
        << "    \"text_bytes_per_flow\": " << text_bpf << ",\n"
        << "    \"binary_bytes_per_flow\": " << bin_bpf << ",\n"
        << "    \"text_to_binary_size_ratio\": " << size_ratio << "\n"
@@ -226,7 +243,8 @@ int main(int argc, char** argv) {
   spread_entry("text_write_flows_per_s", text_write.flows_spread, ",");
   spread_entry("binary_write_flows_per_s", bin_write.flows_spread, ",");
   spread_entry("text_read_flows_per_s", text_read.flows_spread, ",");
-  spread_entry("binary_read_flows_per_s", bin_read.flows_spread, "");
+  spread_entry("binary_read_flows_per_s", bin_read.flows_spread, ",");
+  spread_entry("crc32c_mb_per_s", crc.mb_spread, "");
   json << "  }\n"
        << "}\n";
   std::cout << "[json] summary -> " << path.string() << "\n";

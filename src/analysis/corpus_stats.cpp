@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/format.h"
+
 namespace hsr::analysis {
 
 FlowStatsSample FlowStatsSample::from_flow(const FlowAnalysis& flow,
@@ -98,27 +100,21 @@ namespace {
 
 constexpr char kStatsHeader[] = "hsrcorpusstats-v1";
 
-// Shortest decimal that round-trips the exact double (std::to_chars default
-// format), so a stats file re-parses to bitwise-identical accumulators.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
 void append_stat(std::string& out, const char* name, const util::RunningStats& s) {
   out += "stat ";
   out += name;
   out += ' ';
   out += std::to_string(s.count());
   out += ' ';
-  append_double(out, s.count() > 0 ? s.mean() : 0.0);
+  // Shortest round-trip doubles, so a stats file re-parses to
+  // bitwise-identical accumulators.
+  out += util::format_double(s.count() > 0 ? s.mean() : 0.0);
   out += ' ';
-  append_double(out, s.m2());
+  out += util::format_double(s.m2());
   out += ' ';
-  append_double(out, s.min());
+  out += util::format_double(s.min());
   out += ' ';
-  append_double(out, s.max());
+  out += util::format_double(s.max());
   out += '\n';
 }
 

@@ -35,7 +35,7 @@ FairnessReport fairness_report(const std::vector<trace::FlowCapture>& captures,
             : 0.0;
     f.data_sent = c.data.sent_count();
     for (const auto& tx : c.data.transmissions()) {
-      if (tx.packet.is_retransmission) ++f.retransmissions;
+      if (tx.packet.retx_count > 0) ++f.retransmissions;
     }
     f.retransmission_rate =
         f.data_sent > 0 ? static_cast<double>(f.retransmissions) /

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/format.h"
+
 namespace hsr::fault {
 
 namespace {
@@ -56,13 +58,6 @@ util::Status line_error(std::size_t line_number, const std::string& token,
   return util::Status::invalid_argument(
       "plan line " + std::to_string(line_number) + ": " + why + " (token '" +
       token + "')");
-}
-
-// Shortest decimal that round-trips the exact double (rates in the P line).
-std::string format_double(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
 }
 
 bool parse_double(const std::string& token, double& out) {
@@ -265,8 +260,8 @@ void write_plan_file(std::ostream& os, const PlanFile& file) {
   }
   const ReplayParams& p = *file.params;
   os << kMagicV2 << " directives=" << file.plan.directives.size() << " params=1\n";
-  os << "P " << format_double(p.down_rate_bps) << ' ' << p.down_delay_ns << ' '
-     << p.down_queue << ' ' << format_double(p.up_rate_bps) << ' '
+  os << "P " << util::format_double(p.down_rate_bps) << ' ' << p.down_delay_ns << ' '
+     << p.down_queue << ' ' << util::format_double(p.up_rate_bps) << ' '
      << p.up_delay_ns << ' ' << p.up_queue << ' ' << p.tcp.mss_bytes << ' '
      << p.tcp.delayed_ack_b << ' ' << p.tcp.min_rto.ns() << ' '
      << p.receiver_window << ' ' << (p.tcp.enable_sack ? 1 : 0) << ' '

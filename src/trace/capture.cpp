@@ -42,7 +42,11 @@ void DirectionCapture::on_send(const Packet& packet, TimePoint when) {
                 "capture send with a non-increasing packet id");
   // Record in place: no Transmission temporary on the per-packet path.
   Transmission& tx = txs_.emplace_back();  // hsr-lint-ok: pre-sized by reserve_for
-  tx.packet = packet;
+  tx.packet.id = packet.id;
+  tx.packet.seq = packet.seq;
+  tx.packet.ack_next = packet.ack_next;
+  tx.packet.size_bytes = packet.size_bytes;
+  tx.packet.retx_count = packet.retx_count;
   tx.sent = when;
 }
 

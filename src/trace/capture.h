@@ -41,9 +41,22 @@ struct FaultRecord {
   std::string label;             // directive label (no whitespace)
 };
 
+// The header fields a capture keeps of one packet: exactly the fields the
+// archives store (text and hsrtrace-b2 alike), so a live capture and a
+// decoded one are equal field for field. The flow and the packet kind are
+// the FlowCapture's and the direction's; SACK blocks, subflow and meta_seq
+// stay with net::Packet, which the stack still needs (DESIGN.md §6h).
+struct CapturedHeader {
+  std::uint64_t id = 0;
+  SeqNo seq = 0;                  // data: segment number
+  SeqNo ack_next = 0;             // ACK: cumulative next-expected segment
+  std::uint32_t size_bytes = 0;
+  std::uint32_t retx_count = 0;   // 0 for a first transmission
+};
+
 // One packet put on the wire, with its observed fate.
 struct Transmission {
-  Packet packet;                       // header as sent
+  CapturedHeader packet;               // header as sent
   TimePoint sent;
   std::optional<TimePoint> arrived;    // nullopt => lost
   // Structured attribution for lost packets: WHY the packet died (category
@@ -55,6 +68,8 @@ struct Transmission {
   // One-way transit time; only valid when delivered.
   Duration transit() const { return *arrived - sent; }
 };
+// Decode, analysis and live capture all stream these records.
+static_assert(sizeof(Transmission) <= 80, "capture records must stay compact");
 
 class DirectionCapture final : public net::LinkTap {
  public:

@@ -189,12 +189,12 @@ util::StatusOr<std::uint32_t> crc32c_of_file(const std::string& path) {
   if (!in) return util::Status::not_found("cannot open: " + path);
   char buf[1 << 16];
   std::uint32_t crc = 0;
-  for (;;) {
-    in.read(buf, sizeof(buf));
-    const std::streamsize got = in.gcount();
-    if (got > 0) crc = util::crc32c(crc, buf, static_cast<std::size_t>(got));
-    if (got < static_cast<std::streamsize>(sizeof(buf))) break;
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
+    crc = util::crc32c(crc, buf, static_cast<std::size_t>(in.gcount()));
   }
+  // Only a clean end of file completes the digest; a failed read (a
+  // directory, an I/O error) must not pass for the CRC of a shorter file.
+  if (in.bad() || !in.eof()) return util::Status::internal("read failed: " + path);
   return crc;
 }
 

@@ -98,7 +98,8 @@ struct CorpusMergeResult {
         on_frame);
 
 // Reads `path` and returns the CRC-32C of its raw bytes — the digest used
-// to decide whether a surviving chunk can be trusted on resume.
+// to decide whether a surviving chunk can be trusted on resume. A read that
+// fails before the end of the file is an error, never a partial digest.
 [[nodiscard]] util::StatusOr<std::uint32_t> crc32c_of_file(const std::string& path);
 
 }  // namespace hsr::trace

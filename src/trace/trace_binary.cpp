@@ -228,8 +228,7 @@ bool get_rle(Cursor& c, std::vector<Transmission>& txs, Set set) {
 
 // Decodes one direction's columns straight into its records. The transit and
 // drop-cause columns follow the fate column's order, so no id join is needed.
-util::Status decode_direction(Cursor& c, std::uint64_t frame, net::PacketKind kind,
-                              net::FlowId flow, DirectionCapture& cap) {
+util::Status decode_direction(Cursor& c, std::uint64_t frame, DirectionCapture& cap) {
   // Every transmission costs at least one byte in each of the id, seq, ack
   // and sent delta columns, so a count above a quarter of the bytes left
   // is corruption; rejecting it here keeps it from sizing the records.
@@ -240,11 +239,7 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, net::PacketKind ki
   std::vector<Transmission> txs(static_cast<std::size_t>(n));
 
   std::uint64_t prev = 0;
-  for (auto& tx : txs) {
-    tx.packet.id = c.get_delta(prev);
-    tx.packet.flow = flow;
-    tx.packet.kind = kind;
-  }
+  for (auto& tx : txs) tx.packet.id = c.get_delta(prev);
   prev = 0;
   for (auto& tx : txs) tx.packet.seq = c.get_delta(prev);
   prev = 0;
@@ -258,7 +253,6 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, net::PacketKind ki
   }
   if (!get_rle(c, txs, [](Transmission& tx, std::uint64_t v) {
         tx.packet.retx_count = static_cast<std::uint32_t>(v);
-        tx.packet.is_retransmission = tx.packet.retx_count > 0;
       })) {
     return frame_error(frame, "bad retx run");
   }
@@ -327,10 +321,9 @@ util::Status decode_flow_payload(const std::string& payload, std::uint64_t frame
   }
   cap.flow = static_cast<net::FlowId>(flow);
 
-  util::Status status =
-      decode_direction(c, frame, net::PacketKind::kData, cap.flow, cap.data);
+  util::Status status = decode_direction(c, frame, cap.data);
   if (!status.is_ok()) return status;
-  status = decode_direction(c, frame, net::PacketKind::kAck, cap.flow, cap.acks);
+  status = decode_direction(c, frame, cap.acks);
   if (!status.is_ok()) return status;
 
   // A fault record is at least nine bytes: three tags and six varints

@@ -156,16 +156,14 @@ bool parse_drop_token(const std::string& token, std::optional<net::DropCause>& o
 
 // Parses one `D`/`A` transmission line into a record appended to `out`.
 util::Status parse_transmission(const std::vector<std::string>& tokens,
-                                std::size_t line_number, net::FlowId flow,
-                                std::vector<Transmission>& out) {
+                                std::size_t line_number, std::vector<Transmission>& out) {
   if (tokens.size() != 9) {
     return line_error(line_number, tokens.empty() ? "" : tokens.back(),
                       "expected 9 fields, got " + std::to_string(tokens.size()));
   }
-  Packet p;
+  CapturedHeader p;
   std::int64_t sent_ns = 0;
   std::int64_t arrived_ns = 0;
-  std::uint32_t retx = 0;
   if (!parse_int(tokens[1], p.id)) return line_error(line_number, tokens[1], "bad packet id");
   if (!parse_int(tokens[2], p.seq)) return line_error(line_number, tokens[2], "bad seq");
   if (!parse_int(tokens[3], p.ack_next)) {
@@ -184,14 +182,9 @@ util::Status parse_transmission(const std::vector<std::string>& tokens,
   if (!parse_drop_token(tokens[7], cause)) {
     return line_error(line_number, tokens[7], "bad drop token");
   }
-  if (!parse_int(tokens[8], retx)) {
+  if (!parse_int(tokens[8], p.retx_count)) {
     return line_error(line_number, tokens[8], "bad retx count");
   }
-
-  p.flow = flow;
-  p.kind = tokens[0] == "D" ? net::PacketKind::kData : net::PacketKind::kAck;
-  p.retx_count = retx;
-  p.is_retransmission = retx > 0;
 
   Transmission& tx = out.emplace_back();
   tx.packet = p;
@@ -297,8 +290,7 @@ util::StatusOr<FlowCapture> read_flow_capture(std::istream& is) {
       const std::vector<std::string> tokens = split_tokens(line);
       util::Status status = util::Status::ok();
       if (tokens[0] == "D" || tokens[0] == "A") {
-        status = parse_transmission(tokens, line_number, flow,
-                                    tokens[0] == "D" ? data : acks);
+        status = parse_transmission(tokens, line_number, tokens[0] == "D" ? data : acks);
       } else if (tokens[0] == "F") {
         status = parse_fault(tokens, line_number, cap);
       } else {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "trace/corpus_writer.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -380,12 +381,7 @@ util::Status decode_sample_payload(const std::string& payload,
 // recalibrated profile changes the text even by one ulp, so a resume cannot
 // splice chunks simulated under two calibrations into one corpus.
 void put_profile(std::ostringstream& os, const radio::ProviderProfile& p) {
-  const auto put = [&os](double v) {
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    os << ',';
-    os.write(buf, res.ptr - buf);
-  };
+  const auto put = [&os](double v) { os << ',' << util::format_double(v); };
   const radio::RadioConfig& r = p.radio;
   os << p.name << '|' << radio::provider_name(p.provider) << '|'
      << static_cast<int>(p.mobility) << "|radio";

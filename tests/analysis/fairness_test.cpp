@@ -52,6 +52,7 @@ trace::FlowCapture synthetic_capture(net::FlowId flow, unsigned delivered,
     p.seq = i + 1;
     p.size_bytes = 1400;
     p.is_retransmission = i >= delivered;
+    p.retx_count = p.is_retransmission ? 1 : 0;
     const TimePoint sent = TimePoint::from_seconds(static_cast<double>(i));
     c.data.on_send(p, sent);
     c.data.on_deliver(p, sent, sent + Duration::millis(50));

@@ -93,11 +93,14 @@ TEST(DirectionCaptureTest, BuiltFromRecordsCountsDrops) {
   // Records as a trace reader rebuilds them: fates already set, ids plain
   // data (repeated and decreasing here).
   std::vector<Transmission> txs(3);
-  txs[0].packet = data(7, 1);
+  txs[0].packet.id = 7;
+  txs[0].packet.seq = 1;
   txs[0].arrived = TimePoint::from_ns(10);
-  txs[1].packet = data(7, 1);
+  txs[1].packet.id = 7;
+  txs[1].packet.seq = 1;
   txs[1].drop_cause = DropCause::bernoulli();
-  txs[2].packet = data(3, 2);  // in flight: neither delivered nor lost
+  txs[2].packet.id = 3;  // in flight: neither delivered nor lost
+  txs[2].packet.seq = 2;
   const DirectionCapture cap(std::move(txs));
   EXPECT_EQ(cap.sent_count(), 3u);
   EXPECT_EQ(cap.lost_count(), 1u);

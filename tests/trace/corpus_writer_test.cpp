@@ -125,6 +125,18 @@ TEST(ChunkFileWriterTest, CommitInfoMatchesTheCommittedFile) {
   std::remove(path.c_str());
 }
 
+// A read that fails before end of file must not yield the CRC of the bytes
+// read so far: a directory opens but every read of it fails.
+TEST(ChunkFileWriterTest, CrcOfAnUnreadablePathIsAnError) {
+  const std::string dir = "corpus_writer_test_crc_dir";
+  ASSERT_TRUE(util::Fs::real().create_directories(dir).is_ok());
+  const auto crc = crc32c_of_file(dir);
+  std::remove(dir.c_str());
+  ASSERT_FALSE(crc.is_ok()) << "crc " << crc.value();
+  EXPECT_NE(crc.status().message().find("read failed"), std::string::npos)
+      << crc.status().to_string();
+}
+
 TEST(ChunkFileWriterTest, SidecarFramesSurfaceToTheHookAndAreStripped) {
   util::Fs& fs = util::Fs::real();
   const std::string chunk_path = "corpus_writer_test_sidecar_chunk.hsrb";

@@ -303,7 +303,6 @@ TEST(TraceBinaryTest, AnyPacketIdDecodesVerifiesAndReencodesIdentically) {
   for (const std::uint64_t id : {std::uint64_t{200'000'000'000}, ~std::uint64_t{0}}) {
     Transmission tx;
     tx.packet.id = id;
-    tx.packet.flow = 1;
     tx.packet.seq = 1;
     tx.packet.size_bytes = 1400;
     tx.sent = TimePoint::from_ns(1000);
