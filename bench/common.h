@@ -13,29 +13,26 @@
 // the knob, instead of silently running a different experiment.
 #pragma once
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
+#include "util/text.h"
 #include "workload/dataset.h"
 
 namespace hsr::bench {
 
 // Reads numeric environment knob `name` (unset: `fallback`) strictly: the
-// whole value must parse with std::from_chars and satisfy `in_range`.
+// whole value must pass util::parse_number and satisfy `in_range`.
 template <typename T, typename InRange>
 T env_knob(const char* name, T fallback, InRange in_range, const char* range_text) {
   const char* text = std::getenv(name);
   if (text == nullptr) return fallback;
-  const char* end = text + std::strlen(text);
   T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || !in_range(value)) {
+  if (!util::parse_number(text, value) || !in_range(value)) {
     std::cerr << name << "='" << text << "' is not a number in " << range_text << '\n';
     std::exit(2);
   }

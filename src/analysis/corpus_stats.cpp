@@ -1,12 +1,10 @@
 #include "analysis/corpus_stats.h"
 
-#include <charconv>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/format.h"
+#include "util/text.h"
 
 namespace hsr::analysis {
 
@@ -118,14 +116,15 @@ void append_stat(std::string& out, const char* name, const util::RunningStats& s
   out += '\n';
 }
 
-// Whitespace tokenizer with exact numeric re-parsing via from_chars.
+// A cursor over the digest's tokens (util::split_tokens): the first failure
+// sticks, and every number must parse whole (util::parse_number).
 struct StatsParser {
-  std::istringstream in;
-  std::string token;
+  std::vector<std::string_view> tokens;
+  std::size_t next_index = 0;
   bool failed = false;
   std::string error;
 
-  explicit StatsParser(const std::string& text) : in(text) {}
+  explicit StatsParser(std::string_view text) { util::split_tokens(text, tokens); }
 
   void fail(const std::string& why) {
     if (!failed) {
@@ -134,41 +133,33 @@ struct StatsParser {
     }
   }
 
-  std::string next() {
-    if (failed || !(in >> token)) {
+  std::string_view next() {
+    if (failed || next_index == tokens.size()) {
       fail("unexpected end of stats text");
       return {};
     }
-    return token;
+    return tokens[next_index++];
   }
 
-  void expect(const char* literal) {
-    if (next() != literal) fail(std::string("expected '") + literal + "', got '" + token + "'");
+  void expect(std::string_view literal) {
+    const std::string_view t = next();
+    if (t != literal) {
+      fail("expected '" + std::string(literal) + "', got '" + std::string(t) + "'");
+    }
   }
 
-  std::uint64_t get_u64() {
-    const std::string t = next();
-    std::uint64_t v = 0;
-    const auto res = std::from_chars(t.data(), t.data() + t.size(), v);
-    if (failed) return 0;
-    if (res.ec != std::errc() || res.ptr != t.data() + t.size()) {
-      fail("bad integer '" + t + "'");
-      return 0;
+  // The next token as a T; `what` names the kind of number in the error.
+  template <typename T>
+  T number(const char* what) {
+    const std::string_view t = next();
+    T v{};
+    if (!failed && !util::parse_number(t, v)) {
+      fail(std::string("bad ") + what + " '" + std::string(t) + "'");
     }
     return v;
   }
-
-  double get_double() {
-    const std::string t = next();
-    double v = 0.0;
-    const auto res = std::from_chars(t.data(), t.data() + t.size(), v);
-    if (failed) return 0.0;
-    if (res.ec != std::errc() || res.ptr != t.data() + t.size()) {
-      fail("bad number '" + t + "'");
-      return 0.0;
-    }
-    return v;
-  }
+  std::uint64_t get_u64() { return number<std::uint64_t>("integer"); }
+  double get_double() { return number<double>("number"); }
 
   util::RunningStats get_stat(const char* name) {
     expect("stat");
@@ -293,11 +284,9 @@ util::Status save_corpus_stats(const std::string& path, const CorpusStats& stats
 }
 
 util::StatusOr<CorpusStats> load_corpus_stats(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return util::Status::not_found("cannot open: " + path);
-  std::ostringstream text;
-  text << f.rdbuf();
-  return CorpusStats::parse(text.str());
+  auto text = util::read_text_file(path);
+  if (!text.is_ok()) return text.status();
+  return CorpusStats::parse(text.value());
 }
 
 }  // namespace hsr::analysis

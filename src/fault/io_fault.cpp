@@ -1,15 +1,19 @@
 #include "fault/io_fault.h"
 
-#include <charconv>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
+
+#include "util/text.h"
 
 namespace hsr::fault {
 
 namespace {
 
 constexpr const char* kIoMagic = "hsriofaultplan-v1";
+constexpr std::string_view kFormat = "io plan";  // errors read "io plan line N: ..."
+
+using Tokens = std::vector<std::string_view>;
 
 char outcome_code(IoOutcome outcome) {
   switch (outcome) {
@@ -22,37 +26,15 @@ char outcome_code(IoOutcome outcome) {
   return '?';
 }
 
-// Single tokens on the wire, same rule as the channel-plan labels.
-std::string sanitize_token(const std::string& value, const char* fallback) {
-  std::string out = value.empty() ? fallback : value;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') c = '_';
-  }
-  return out;
-}
-
-template <typename Int>
-bool parse_int(const std::string& token, Int& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc() && ptr == last;
-}
-
-util::Status line_error(std::size_t line_number, const std::string& token,
-                        const std::string& why) {
-  return util::Status::invalid_argument(
-      "io plan line " + std::to_string(line_number) + ": " + why + " (token '" +
-      token + "')");
-}
-
-util::Status parse_io_directive(const std::vector<std::string>& tokens,
-                                std::size_t line_number, IoFaultDirective& d) {
+util::Status parse_io_directive(const Tokens& tokens, std::size_t line_number,
+                                IoFaultDirective& d) {
   if (tokens.size() != 7) {
-    return line_error(line_number, tokens.empty() ? "" : tokens.back(),
-                      "expected 7 fields, got " + std::to_string(tokens.size()));
+    return util::line_error(kFormat, line_number, tokens.back(),
+                            "expected 7 fields, got " + std::to_string(tokens.size()));
   }
-  if (tokens[0].size() != 1) return line_error(line_number, tokens[0], "bad op code");
+  if (tokens[0].size() != 1) {
+    return util::line_error(kFormat, line_number, tokens[0], "bad op code");
+  }
   switch (tokens[0][0]) {
     case '*': d.op = IoOp::kAny; break;
     case 'O': d.op = IoOp::kOpen; break;
@@ -62,10 +44,10 @@ util::Status parse_io_directive(const std::vector<std::string>& tokens,
     case 'D': d.op = IoOp::kRemove; break;
     case 'T': d.op = IoOp::kTruncate; break;
     case 'M': d.op = IoOp::kMkdir; break;
-    default: return line_error(line_number, tokens[0], "bad op code");
+    default: return util::line_error(kFormat, line_number, tokens[0], "bad op code");
   }
   if (tokens[1].size() != 1) {
-    return line_error(line_number, tokens[1], "bad outcome code");
+    return util::line_error(kFormat, line_number, tokens[1], "bad outcome code");
   }
   switch (tokens[1][0]) {
     case 'F': d.outcome = IoOutcome::kFail; break;
@@ -73,18 +55,18 @@ util::Status parse_io_directive(const std::vector<std::string>& tokens,
     case 'E': d.outcome = IoOutcome::kEnospc; break;
     case 'H': d.outcome = IoOutcome::kShortWrite; break;
     case 'N': d.outcome = IoOutcome::kTornRename; break;
-    default: return line_error(line_number, tokens[1], "bad outcome code");
+    default: return util::line_error(kFormat, line_number, tokens[1], "bad outcome code");
   }
-  if (!parse_int(tokens[2], d.skip)) {
-    return line_error(line_number, tokens[2], "bad skip count");
+  if (!util::parse_number(tokens[2], d.skip)) {
+    return util::line_error(kFormat, line_number, tokens[2], "bad skip count");
   }
   if (tokens[3] == "*") {
     d.max_triggers = kNoIoTriggerLimit;
-  } else if (!parse_int(tokens[3], d.max_triggers)) {
-    return line_error(line_number, tokens[3], "bad trigger limit");
+  } else if (!util::parse_number(tokens[3], d.max_triggers)) {
+    return util::line_error(kFormat, line_number, tokens[3], "bad trigger limit");
   }
-  if (!parse_int(tokens[4], d.byte_limit)) {
-    return line_error(line_number, tokens[4], "bad byte limit");
+  if (!util::parse_number(tokens[4], d.byte_limit)) {
+    return util::line_error(kFormat, line_number, tokens[4], "bad byte limit");
   }
   d.path_substring = tokens[5] == "*" ? "" : tokens[5];
   d.label = tokens[6];
@@ -132,44 +114,31 @@ std::string IoFaultPlan::to_text() const {
     } else {
       os << d.max_triggers;
     }
-    os << ' ' << d.byte_limit << ' ' << sanitize_token(d.path_substring, "*")
-       << ' ' << sanitize_token(d.label, "io-fault") << '\n';
+    os << ' ' << d.byte_limit << ' ' << util::single_token(d.path_substring, "*")
+       << ' ' << util::single_token(d.label, "io-fault") << '\n';
   }
   return os.str();
 }
 
 util::StatusOr<IoFaultPlan> IoFaultPlan::parse(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line)) {
+  util::LineReader lines(text);
+  if (!lines.next()) {
     return util::Status::invalid_argument("io plan line 1: empty input, no header");
   }
+  const Tokens& header = lines.tokens();
+  const std::size_t header_line = lines.line_number();
+  if (header.size() < 2 || header[0] != kIoMagic ||
+      !header[1].starts_with("directives=")) {
+    return util::line_error(kFormat, header_line, lines.line(), "bad io plan header");
+  }
   std::size_t declared = 0;
-  {
-    std::istringstream hs(line);
-    std::string magic;
-    std::string count_field;
-    if (!(hs >> magic >> count_field) || magic != kIoMagic ||
-        count_field.rfind("directives=", 0) != 0) {
-      return line_error(1, line, "bad io plan header");
-    }
-    if (!parse_int(count_field.substr(11), declared)) {
-      return line_error(1, count_field, "bad directive count");
-    }
+  if (!util::parse_number(header[1].substr(11), declared)) {
+    return util::line_error(kFormat, header_line, header[1], "bad directive count");
   }
   IoFaultPlan plan;
-  std::size_t line_number = 1;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::vector<std::string> tokens;
-    {
-      std::istringstream ls(line);
-      std::string tok;
-      while (ls >> tok) tokens.push_back(tok);
-    }
+  while (lines.next()) {
     IoFaultDirective d;
-    util::Status status = parse_io_directive(tokens, line_number, d);
+    util::Status status = parse_io_directive(lines.tokens(), lines.line_number(), d);
     if (!status.is_ok()) return status;
     plan.directives.push_back(std::move(d));
   }
@@ -183,11 +152,9 @@ util::StatusOr<IoFaultPlan> IoFaultPlan::parse(const std::string& text) {
 }
 
 util::StatusOr<IoFaultPlan> IoFaultPlan::load(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return util::Status::not_found("cannot open: " + path);
-  std::ostringstream text;
-  text << f.rdbuf();
-  return parse(text.str());
+  auto text = util::read_text_file(path);
+  if (!text.is_ok()) return text.status();
+  return parse(text.value());
 }
 
 IoFaultPlan& IoFaultPlan::fail_nth_write(std::uint64_t n,

@@ -1,13 +1,12 @@
 #include "fault/plan_io.h"
 
-#include <charconv>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/format.h"
+#include "util/text.h"
 
 namespace hsr::fault {
 
@@ -15,6 +14,9 @@ namespace {
 
 constexpr const char* kMagic = "hsrfaultplan-v1";
 constexpr const char* kMagicV2 = "hsrfaultplan-v2";
+constexpr std::string_view kFormat = "plan";  // errors read "plan line N: ..."
+
+using Tokens = std::vector<std::string_view>;
 
 constexpr std::uint64_t kNoTriggerLimit = std::numeric_limits<std::uint64_t>::max();
 constexpr SeqNo kNoSeqLimit = std::numeric_limits<SeqNo>::max();
@@ -28,111 +30,77 @@ char kind_code(FaultDirective::KindFilter kind) {
   return '?';
 }
 
-// Labels are single tokens on the wire (same rule as trace_io audit labels).
-std::string sanitize_label(const std::string& label) {
-  std::string out = label.empty() ? "fault" : label;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') c = '_';
-  }
-  return out;
-}
-
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream ls(line);
-  std::string tok;
-  while (ls >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-template <typename Int>
-bool parse_int(const std::string& token, Int& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc() && ptr == last;
-}
-
-util::Status line_error(std::size_t line_number, const std::string& token,
-                        const std::string& why) {
-  return util::Status::invalid_argument(
-      "plan line " + std::to_string(line_number) + ": " + why + " (token '" +
-      token + "')");
-}
-
-bool parse_double(const std::string& token, double& out) {
-  const auto res = std::from_chars(token.data(), token.data() + token.size(), out);
-  return res.ec == std::errc() && res.ptr == token.data() + token.size();
-}
-
-util::Status parse_params_line(const std::vector<std::string>& tokens,
-                               std::size_t line_number, ReplayParams& p) {
+util::Status parse_params_line(const Tokens& tokens, std::size_t line_number,
+                               ReplayParams& p) {
   // 12 mandatory fields; plans recording a non-default congestion control
   // or adaptive delayed-ACK append the optional <cc> <adaptive> pair.
   if ((tokens.size() != 13 && tokens.size() != 15) || tokens[0] != "P") {
-    return line_error(line_number, tokens.empty() ? "" : tokens[0],
-                      "expected P line with 12 parameter fields");
+    return util::line_error(kFormat, line_number, tokens[0],
+                            "expected P line with 12 parameter fields");
   }
-  if (!parse_double(tokens[1], p.down_rate_bps) || p.down_rate_bps <= 0) {
-    return line_error(line_number, tokens[1], "bad downlink rate");
+  if (!util::parse_number(tokens[1], p.down_rate_bps) || p.down_rate_bps <= 0) {
+    return util::line_error(kFormat, line_number, tokens[1], "bad downlink rate");
   }
-  if (!parse_int(tokens[2], p.down_delay_ns) || p.down_delay_ns < 0) {
-    return line_error(line_number, tokens[2], "bad downlink delay");
+  if (!util::parse_number(tokens[2], p.down_delay_ns) || p.down_delay_ns < 0) {
+    return util::line_error(kFormat, line_number, tokens[2], "bad downlink delay");
   }
-  if (!parse_int(tokens[3], p.down_queue) || p.down_queue == 0) {
-    return line_error(line_number, tokens[3], "bad downlink queue capacity");
+  if (!util::parse_number(tokens[3], p.down_queue) || p.down_queue == 0) {
+    return util::line_error(kFormat, line_number, tokens[3],
+                            "bad downlink queue capacity");
   }
-  if (!parse_double(tokens[4], p.up_rate_bps) || p.up_rate_bps <= 0) {
-    return line_error(line_number, tokens[4], "bad uplink rate");
+  if (!util::parse_number(tokens[4], p.up_rate_bps) || p.up_rate_bps <= 0) {
+    return util::line_error(kFormat, line_number, tokens[4], "bad uplink rate");
   }
-  if (!parse_int(tokens[5], p.up_delay_ns) || p.up_delay_ns < 0) {
-    return line_error(line_number, tokens[5], "bad uplink delay");
+  if (!util::parse_number(tokens[5], p.up_delay_ns) || p.up_delay_ns < 0) {
+    return util::line_error(kFormat, line_number, tokens[5], "bad uplink delay");
   }
-  if (!parse_int(tokens[6], p.up_queue) || p.up_queue == 0) {
-    return line_error(line_number, tokens[6], "bad uplink queue capacity");
+  if (!util::parse_number(tokens[6], p.up_queue) || p.up_queue == 0) {
+    return util::line_error(kFormat, line_number, tokens[6], "bad uplink queue capacity");
   }
-  if (!parse_int(tokens[7], p.tcp.mss_bytes) || p.tcp.mss_bytes == 0) {
-    return line_error(line_number, tokens[7], "bad mss");
+  if (!util::parse_number(tokens[7], p.tcp.mss_bytes) || p.tcp.mss_bytes == 0) {
+    return util::line_error(kFormat, line_number, tokens[7], "bad mss");
   }
-  if (!parse_int(tokens[8], p.tcp.delayed_ack_b) || p.tcp.delayed_ack_b == 0) {
-    return line_error(line_number, tokens[8], "bad delayed-ack b");
+  if (!util::parse_number(tokens[8], p.tcp.delayed_ack_b) || p.tcp.delayed_ack_b == 0) {
+    return util::line_error(kFormat, line_number, tokens[8], "bad delayed-ack b");
   }
   std::int64_t min_rto_ns = 0;
-  if (!parse_int(tokens[9], min_rto_ns) || min_rto_ns < 0) {
-    return line_error(line_number, tokens[9], "bad min rto");
+  if (!util::parse_number(tokens[9], min_rto_ns) || min_rto_ns < 0) {
+    return util::line_error(kFormat, line_number, tokens[9], "bad min rto");
   }
   p.tcp.min_rto = Duration::nanos(min_rto_ns);
-  if (!parse_int(tokens[10], p.receiver_window) || p.receiver_window == 0) {
-    return line_error(line_number, tokens[10], "bad receiver window");
+  if (!util::parse_number(tokens[10], p.receiver_window) || p.receiver_window == 0) {
+    return util::line_error(kFormat, line_number, tokens[10], "bad receiver window");
   }
   if (tokens[11] != "0" && tokens[11] != "1") {
-    return line_error(line_number, tokens[11], "bad sack flag");
+    return util::line_error(kFormat, line_number, tokens[11], "bad sack flag");
   }
   p.tcp.enable_sack = tokens[11] == "1";
   if (tokens[12] != "0" && tokens[12] != "1") {
-    return line_error(line_number, tokens[12], "bad frto flag");
+    return util::line_error(kFormat, line_number, tokens[12], "bad frto flag");
   }
   p.tcp.enable_frto = tokens[12] == "1";
   if (tokens.size() == 15) {
     unsigned cc = 0;
-    if (!parse_int(tokens[13], cc) ||
+    if (!util::parse_number(tokens[13], cc) ||
         cc > static_cast<unsigned>(tcp::CongestionControl::kVeno)) {
-      return line_error(line_number, tokens[13], "bad congestion control code");
+      return util::line_error(kFormat, line_number, tokens[13],
+                              "bad congestion control code");
     }
     p.tcp.congestion_control = static_cast<tcp::CongestionControl>(cc);
     if (tokens[14] != "0" && tokens[14] != "1") {
-      return line_error(line_number, tokens[14], "bad adaptive delack flag");
+      return util::line_error(kFormat, line_number, tokens[14],
+                              "bad adaptive delack flag");
     }
     p.tcp.adaptive_delack = tokens[14] == "1";
   }
   return util::Status::ok();
 }
 
-util::Status parse_directive(const std::vector<std::string>& tokens,
-                             std::size_t line_number, FaultDirective& d) {
+util::Status parse_directive(const Tokens& tokens, std::size_t line_number,
+                             FaultDirective& d) {
   if (tokens.size() != 11) {
-    return line_error(line_number, tokens.empty() ? "" : tokens.back(),
-                      "expected 11 fields, got " + std::to_string(tokens.size()));
+    return util::line_error(kFormat, line_number, tokens.back(),
+                            "expected 11 fields, got " + std::to_string(tokens.size()));
   }
 
   if (tokens[0] == "X") {
@@ -142,7 +110,7 @@ util::Status parse_directive(const std::vector<std::string>& tokens,
   } else if (tokens[0] == "2") {
     d.action = FaultAction::kDuplicate;
   } else {
-    return line_error(line_number, tokens[0], "bad action code");
+    return util::line_error(kFormat, line_number, tokens[0], "bad action code");
   }
 
   if (tokens[1] == "*") {
@@ -152,12 +120,12 @@ util::Status parse_directive(const std::vector<std::string>& tokens,
   } else if (tokens[1] == "A") {
     d.kind = FaultDirective::KindFilter::kAck;
   } else {
-    return line_error(line_number, tokens[1], "bad kind filter");
+    return util::line_error(kFormat, line_number, tokens[1], "bad kind filter");
   }
 
   std::int64_t begin_ns = 0;
-  if (!parse_int(tokens[2], begin_ns)) {
-    return line_error(line_number, tokens[2], "bad window begin");
+  if (!util::parse_number(tokens[2], begin_ns)) {
+    return util::line_error(kFormat, line_number, tokens[2], "bad window begin");
   }
   d.window_begin = TimePoint::from_ns(begin_ns);
 
@@ -165,19 +133,19 @@ util::Status parse_directive(const std::vector<std::string>& tokens,
     d.window_end = TimePoint::max();
   } else {
     std::int64_t end_ns = 0;
-    if (!parse_int(tokens[3], end_ns)) {
-      return line_error(line_number, tokens[3], "bad window end");
+    if (!util::parse_number(tokens[3], end_ns)) {
+      return util::line_error(kFormat, line_number, tokens[3], "bad window end");
     }
     d.window_end = TimePoint::from_ns(end_ns);
   }
 
-  if (!parse_int(tokens[4], d.seq_min)) {
-    return line_error(line_number, tokens[4], "bad seq min");
+  if (!util::parse_number(tokens[4], d.seq_min)) {
+    return util::line_error(kFormat, line_number, tokens[4], "bad seq min");
   }
   if (tokens[5] == "*") {
     d.seq_max = kNoSeqLimit;
-  } else if (!parse_int(tokens[5], d.seq_max)) {
-    return line_error(line_number, tokens[5], "bad seq max");
+  } else if (!util::parse_number(tokens[5], d.seq_max)) {
+    return util::line_error(kFormat, line_number, tokens[5], "bad seq max");
   }
 
   if (tokens[6] == "0") {
@@ -185,38 +153,34 @@ util::Status parse_directive(const std::vector<std::string>& tokens,
   } else if (tokens[6] == "1") {
     d.only_retransmissions = true;
   } else {
-    return line_error(line_number, tokens[6], "bad retransmission flag");
+    return util::line_error(kFormat, line_number, tokens[6], "bad retransmission flag");
   }
 
   if (tokens[7] == "*") {
     d.max_triggers = kNoTriggerLimit;
-  } else if (!parse_int(tokens[7], d.max_triggers)) {
-    return line_error(line_number, tokens[7], "bad trigger limit");
+  } else if (!util::parse_number(tokens[7], d.max_triggers)) {
+    return util::line_error(kFormat, line_number, tokens[7], "bad trigger limit");
   }
 
   std::int64_t delay_ns = 0;
-  if (!parse_int(tokens[8], delay_ns) || delay_ns < 0) {
-    return line_error(line_number, tokens[8], "bad delay");
+  if (!util::parse_number(tokens[8], delay_ns) || delay_ns < 0) {
+    return util::line_error(kFormat, line_number, tokens[8], "bad delay");
   }
   d.delay = Duration::nanos(delay_ns);
 
-  if (!parse_int(tokens[9], d.copies)) {
-    return line_error(line_number, tokens[9], "bad copy count");
+  if (!util::parse_number(tokens[9], d.copies)) {
+    return util::line_error(kFormat, line_number, tokens[9], "bad copy count");
   }
 
   d.label = tokens[10];
   if (d.window_begin > d.window_end) {
-    return line_error(line_number, tokens[3], "inverted window");
+    return util::line_error(kFormat, line_number, tokens[3], "inverted window");
   }
   if (d.seq_min > d.seq_max) {
-    return line_error(line_number, tokens[5], "inverted sequence range");
+    return util::line_error(kFormat, line_number, tokens[5], "inverted sequence range");
   }
   return util::Status::ok();
 }
-
-}  // namespace
-
-namespace {
 
 void write_directives(std::ostream& os, const FaultPlan& plan) {
   for (const FaultDirective& d : plan.directives) {
@@ -240,7 +204,7 @@ void write_directives(std::ostream& os, const FaultPlan& plan) {
       os << d.max_triggers;
     }
     os << ' ' << d.delay.ns() << ' ' << d.copies << ' '
-       << sanitize_label(d.label) << '\n';
+       << util::single_token(d.label, "fault") << '\n';
   }
 }
 
@@ -277,51 +241,46 @@ void write_plan_file(std::ostream& os, const PlanFile& file) {
   write_directives(os, file.plan);
 }
 
-util::StatusOr<PlanFile> read_plan_file(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line)) {
+namespace {
+
+util::StatusOr<PlanFile> parse_plan_file(std::string_view text) {
+  util::LineReader lines(text);
+  if (!lines.next()) {
     return util::Status::invalid_argument("plan line 1: empty stream, no header");
   }
+  const Tokens& header = lines.tokens();
+  const std::size_t header_line = lines.line_number();
+  if (header.size() < 2 || (header[0] != kMagic && header[0] != kMagicV2) ||
+      !header[1].starts_with("directives=")) {
+    return util::line_error(kFormat, header_line, lines.line(), "bad plan header");
+  }
   std::size_t declared = 0;
+  if (!util::parse_number(header[1].substr(11), declared)) {
+    return util::line_error(kFormat, header_line, header[1], "bad directive count");
+  }
   bool expect_params = false;
-  {
-    std::istringstream hs(line);
-    std::string magic;
-    std::string count_field;
-    if (!(hs >> magic >> count_field) || (magic != kMagic && magic != kMagicV2) ||
-        count_field.rfind("directives=", 0) != 0) {
-      return line_error(1, line, "bad plan header");
+  if (header[0] == kMagicV2) {
+    const std::string_view params = header.size() > 2 ? header[2] : std::string_view();
+    if (params != "params=0" && params != "params=1") {
+      return util::line_error(kFormat, header_line, params,
+                              "bad params flag in v2 header");
     }
-    if (!parse_int(count_field.substr(11), declared)) {
-      return line_error(1, count_field, "bad directive count");
-    }
-    if (magic == kMagicV2) {
-      std::string params_field;
-      if (!(hs >> params_field) ||
-          (params_field != "params=0" && params_field != "params=1")) {
-        return line_error(1, params_field, "bad params flag in v2 header");
-      }
-      expect_params = params_field == "params=1";
-    }
+    expect_params = params == "params=1";
   }
 
   PlanFile file;
-  std::size_t line_number = 1;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    const std::vector<std::string> tokens = split_tokens(line);
+  while (lines.next()) {
     if (expect_params) {
       // The P line must be the first payload line of a params=1 file.
       ReplayParams p;
-      util::Status status = parse_params_line(tokens, line_number, p);
+      util::Status status = parse_params_line(lines.tokens(), lines.line_number(), p);
       if (!status.is_ok()) return status;
       file.params = p;
       expect_params = false;
       continue;
     }
     FaultDirective d;
-    util::Status status = parse_directive(tokens, line_number, d);
+    util::Status status = parse_directive(lines.tokens(), lines.line_number(), d);
     if (!status.is_ok()) return status;
     file.plan.directives.push_back(std::move(d));
   }
@@ -339,10 +298,19 @@ util::StatusOr<PlanFile> read_plan_file(std::istream& is) {
   return file;
 }
 
-util::StatusOr<FaultPlan> read_fault_plan(std::istream& is) {
-  auto file = read_plan_file(is);
+util::StatusOr<FaultPlan> plan_only(util::StatusOr<PlanFile> file) {
   if (!file.is_ok()) return file.status();
   return std::move(file.value().plan);
+}
+
+}  // namespace
+
+util::StatusOr<PlanFile> read_plan_file(std::istream& is) {
+  return parse_plan_file(util::read_all(is));
+}
+
+util::StatusOr<FaultPlan> read_fault_plan(std::istream& is) {
+  return plan_only(read_plan_file(is));
 }
 
 util::Status save_plan_file(util::Fs& fs, const std::string& path,
@@ -358,9 +326,9 @@ util::Status save_plan_file(const std::string& path, const PlanFile& file) {
 }
 
 util::StatusOr<PlanFile> load_plan_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return util::Status::not_found("cannot open: " + path);
-  return read_plan_file(f);
+  auto text = util::read_text_file(path);
+  if (!text.is_ok()) return text.status();
+  return parse_plan_file(text.value());
 }
 
 std::string FaultPlan::to_text() const {
@@ -370,8 +338,7 @@ std::string FaultPlan::to_text() const {
 }
 
 util::StatusOr<FaultPlan> FaultPlan::parse(const std::string& text) {
-  std::istringstream is(text);
-  return read_fault_plan(is);
+  return plan_only(parse_plan_file(text));
 }
 
 }  // namespace hsr::fault

@@ -35,7 +35,9 @@
 // Writers emit v1 when no params are attached — existing archives and
 // golden files stay byte-identical — and v2 only when they are.
 // Malformed input fails with the line number and offending token in the
-// Status message, mirroring trace_io's positional diagnostics.
+// Status message, mirroring trace_io's positional diagnostics. Tokens,
+// numbers and token-less lines follow the rule set every text format shares
+// (util/text.h, DESIGN.md §6i).
 #pragma once
 
 #include <cstdint>

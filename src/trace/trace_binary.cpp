@@ -2,6 +2,7 @@
 
 #include "trace/trace_io.h"
 #include "util/crc32c.h"
+#include "util/format.h"
 
 #include <algorithm>
 #include <cstring>
@@ -409,15 +410,6 @@ void append_frame(char type, std::string_view payload, std::uint64_t seq,
   }
 }
 
-std::string hex32(std::uint32_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 28; shift >= 0; shift -= 4) {
-    out.push_back(digits[(v >> shift) & 0xF]);
-  }
-  return out;
-}
-
 }  // namespace
 
 void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count) {
@@ -533,8 +525,9 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   crc = util::crc32c(crc, head + 4, 16);  // seq + size as read off the wire
   crc = util::crc32c(crc, payload_.data(), payload_.size());
   if (crc != stored_crc) {
-    return frame_error(frame_index, "crc32c mismatch (stored " + hex32(stored_crc) +
-                                        ", computed " + hex32(crc) + ")");
+    return frame_error(frame_index,
+                       "crc32c mismatch (stored 0x" + util::format_hex(stored_crc, 8) +
+                           ", computed 0x" + util::format_hex(crc, 8) + ")");
   }
   if (stored_seq != frame_index) {
     // A valid checksum with the wrong ordinal means frames were spliced,

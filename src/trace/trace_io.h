@@ -25,6 +25,11 @@
 // Readers also accept v1 archives ("hsrtrace-v1"), whose drop column only
 // distinguished 'Q' (queue) from 'C' (channel): 'C' maps to the
 // kChannelUnattributed legacy category.
+//
+// Tokens, numbers, token-less lines and the torn final line follow the rule
+// set every text format shares (util/text.h, DESIGN.md §6i): fields split at
+// the six blank bytes, every number must parse whole, and lines with no
+// token are skipped.
 #pragma once
 
 #include <iosfwd>
@@ -38,11 +43,11 @@ namespace hsr::trace {
 
 void write_flow_capture(std::ostream& os, const FlowCapture& capture);
 
-// Parses a capture (v2 or legacy v1). Corrupt records fail with the line
-// number and the offending token in the Status message. A torn FINAL line
-// (EOF before its newline — the signature of a truncated archive) is
-// tolerated: the partial record is dropped and the capture parsed so far is
-// returned.
+// Parses a capture (v2 or legacy v1), reading the whole stream first.
+// Corrupt records fail with the line number and the offending token in the
+// Status message. A torn FINAL line (EOF before its newline — the signature
+// of a truncated archive) is tolerated: the partial record is dropped and
+// the capture parsed so far is returned.
 [[nodiscard]] util::StatusOr<FlowCapture> read_flow_capture(std::istream& is);
 
 // Convenience file wrappers. Saving is atomic (write to `<path>.tmp`, fsync,

@@ -1,7 +1,6 @@
 #include "workload/dataset.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -15,6 +14,7 @@
 #include "util/format.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/text.h"
 #include "util/thread_pool.h"
 #include "workload/manifest.h"
 
@@ -158,10 +158,7 @@ FlowRecord run_and_analyze(const DatasetSpec& spec, std::uint64_t flow_index,
 util::StatusOr<unsigned> parse_bench_threads(const char* text) {
   const std::string value = text == nullptr ? "" : text;
   unsigned parsed = 0;
-  const char* first = value.data();
-  const char* last = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, parsed);
-  if (value.empty() || ec != std::errc() || ptr != last) {
+  if (!util::parse_number(value, parsed)) {
     return util::Status::invalid_argument(
         "HSR_BENCH_THREADS='" + value + "' is not a plain decimal thread count");
   }
@@ -514,10 +511,12 @@ StreamingDatasetResult generate_dataset_streaming(
   out.io_status = save_campaign_manifest(fs, manifest_path, manifest);
   if (!out.io_status.is_ok()) return out;
 
+  std::vector<bool> committed(static_cast<std::size_t>(chunk_count));
+  for (const ChunkEntry& entry : manifest.chunks) committed[entry.index] = true;
   std::vector<std::uint64_t> pending;
   pending.reserve(static_cast<std::size_t>(chunk_count - manifest.chunks.size()));
   for (std::uint64_t ci = 0; ci < chunk_count; ++ci) {
-    if (!manifest.has_chunk(ci)) pending.push_back(ci);
+    if (!committed[ci]) pending.push_back(ci);
   }
 
   std::mutex io_mu;

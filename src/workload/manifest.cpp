@@ -1,9 +1,11 @@
 #include "workload/manifest.h"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
 #include <sstream>
+#include <utility>
+
+#include "util/format.h"
+#include "util/text.h"
 
 namespace hsr::workload {
 
@@ -14,83 +16,50 @@ util::Status manifest_error(std::size_t line, const std::string& what) {
                                         ": " + what);
 }
 
-bool parse_u64(std::string_view text, std::uint64_t* out, int base = 10) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, *out, base);
-  return ec == std::errc() && ptr == last && !text.empty();
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[v & 0xF];
-    v >>= 4;
-  }
-  buf[16] = '\0';
-  return buf;
-}
-
-std::string hex8(std::uint32_t v) {
-  char buf[9];
-  for (int i = 7; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[v & 0xF];
-    v >>= 4;
-  }
-  buf[8] = '\0';
-  return buf;
-}
+bool by_index(const ChunkEntry& a, const ChunkEntry& b) { return a.index < b.index; }
 
 }  // namespace
 
-bool CampaignManifest::has_chunk(std::uint64_t index) const {
-  return std::any_of(chunks.begin(), chunks.end(),
-                     [index](const ChunkEntry& c) { return c.index == index; });
-}
-
 std::string CampaignManifest::to_text() const {
   std::vector<ChunkEntry> sorted = chunks;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const ChunkEntry& a, const ChunkEntry& b) { return a.index < b.index; });
+  std::sort(sorted.begin(), sorted.end(), by_index);
   std::ostringstream os;
-  os << kManifestMagic << " spec=" << hex16(spec_digest) << " flows=" << total_flows
-     << " chunk_flows=" << chunk_flows << " chunks=" << sorted.size() << "\n";
+  os << kManifestMagic << " spec=" << util::format_hex(spec_digest, 16)
+     << " flows=" << total_flows << " chunk_flows=" << chunk_flows
+     << " chunks=" << sorted.size() << "\n";
   for (const ChunkEntry& c : sorted) {
     os << "C " << c.index << ' ' << c.first_flow << ' ' << c.flow_count << ' '
        << c.flows << ' ' << c.quarantines << ' ' << c.bytes << ' '
-       << hex8(c.crc32c) << "\n";
+       << util::format_hex(c.crc32c, 8) << "\n";
   }
   return os.str();
 }
 
 util::StatusOr<CampaignManifest> CampaignManifest::parse(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line)) {
-    return util::Status::invalid_argument("empty manifest");
-  }
-  std::istringstream header(line);
-  std::string magic;
-  header >> magic;
-  if (magic != kManifestMagic) {
+  util::LineReader lines(text);
+  if (!lines.next()) return util::Status::invalid_argument("empty manifest");
+  const std::vector<std::string_view>& header = lines.tokens();
+  if (header[0] != kManifestMagic) {
     return util::Status::invalid_argument("not an " + std::string(kManifestMagic) +
-                                          " file (got '" + magic + "')");
+                                          " file (got '" + std::string(header[0]) + "')");
   }
+  const std::size_t header_line = lines.line_number();
   CampaignManifest manifest;
   std::uint64_t declared_chunks = 0;
   bool saw_spec = false, saw_flows = false, saw_chunk_flows = false, saw_chunks = false;
-  std::string field;
-  while (header >> field) {
+  for (std::size_t i = 1; i < header.size(); ++i) {
+    const std::string_view field = header[i];
     const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return manifest_error(1, "malformed header field '" + field + "'");
+    if (eq == std::string_view::npos) {
+      return manifest_error(header_line,
+                            "malformed header field '" + std::string(field) + "'");
     }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+    const std::string key(field.substr(0, eq));
+    const std::string_view value = field.substr(eq + 1);
     std::uint64_t parsed = 0;
-    const int base = key == "spec" ? 16 : 10;
-    if (!parse_u64(value, &parsed, base)) {
-      return manifest_error(1, "bad value for '" + key + "': '" + value + "'");
+    if (!util::parse_number(value, parsed, key == "spec" ? 16 : 10)) {
+      return manifest_error(header_line, "bad value for '" + key + "': '" +
+                                             std::string(value) + "'");
     }
     if (key == "spec") {
       manifest.spec_digest = parsed;
@@ -105,60 +74,69 @@ util::StatusOr<CampaignManifest> CampaignManifest::parse(const std::string& text
       declared_chunks = parsed;
       saw_chunks = true;
     } else {
-      return manifest_error(1, "unknown header field '" + key + "'");
+      return manifest_error(header_line, "unknown header field '" + key + "'");
     }
   }
   if (!saw_spec || !saw_flows || !saw_chunk_flows || !saw_chunks) {
-    return manifest_error(1, "header missing spec=/flows=/chunk_flows=/chunks=");
+    return manifest_error(header_line,
+                          "header missing spec=/flows=/chunk_flows=/chunks=");
   }
   if (manifest.chunk_flows == 0) {
-    return manifest_error(1, "chunk_flows must be positive");
+    return manifest_error(header_line, "chunk_flows must be positive");
   }
 
-  std::size_t line_no = 1;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag != "C") {
-      return manifest_error(line_no, "expected a 'C' chunk entry, got '" + tag + "'");
+  // Entries keep their line numbers until the duplicate check has run.
+  std::vector<std::pair<ChunkEntry, std::size_t>> entries;
+  while (lines.next()) {
+    const std::vector<std::string_view>& t = lines.tokens();
+    const std::size_t line_no = lines.line_number();
+    if (t[0] != "C") {
+      return manifest_error(line_no, "expected a 'C' chunk entry, got '" +
+                                         std::string(t[0]) + "'");
     }
+    if (t.size() < 8) return manifest_error(line_no, "truncated chunk entry");
+    if (t.size() > 8) return manifest_error(line_no, "trailing tokens after chunk entry");
     ChunkEntry entry;
-    std::string crc_text;
-    if (!(ls >> entry.index >> entry.first_flow >> entry.flow_count >>
-          entry.flows >> entry.quarantines >> entry.bytes >> crc_text)) {
-      return manifest_error(line_no, "truncated chunk entry");
+    const std::pair<const char*, std::uint64_t*> fields[] = {
+        {"index", &entry.index},   {"first_flow", &entry.first_flow},
+        {"flow_count", &entry.flow_count}, {"flows", &entry.flows},
+        {"quarantines", &entry.quarantines}, {"bytes", &entry.bytes}};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+      if (!util::parse_number(t[f + 1], *fields[f].second)) {
+        return manifest_error(line_no, std::string("bad ") + fields[f].first + " '" +
+                                           std::string(t[f + 1]) + "'");
+      }
     }
-    std::string trailing;
-    if (ls >> trailing) {
-      return manifest_error(line_no, "trailing tokens after chunk entry");
+    if (!util::parse_number(t[7], entry.crc32c, 16)) {
+      return manifest_error(line_no, "bad crc '" + std::string(t[7]) + "'");
     }
-    std::uint64_t crc = 0;
-    if (!parse_u64(crc_text, &crc, 16) || crc > 0xFFFFFFFFull) {
-      return manifest_error(line_no, "bad crc '" + crc_text + "'");
-    }
-    entry.crc32c = static_cast<std::uint32_t>(crc);
     if (entry.flow_count == 0) {
       return manifest_error(line_no, "chunk declares zero flows");
     }
     if (entry.flows + entry.quarantines != entry.flow_count) {
       return manifest_error(line_no, "flows + quarantines != flow_count");
     }
-    if (manifest.has_chunk(entry.index)) {
-      return manifest_error(line_no, "duplicate chunk index " +
-                                         std::to_string(entry.index));
-    }
-    manifest.chunks.push_back(entry);
+    entries.emplace_back(entry, line_no);
   }
-  if (manifest.chunks.size() != declared_chunks) {
+  // Stable, so of two entries sharing an index the later line comes second.
+  std::stable_sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    return by_index(a.first, b.first);
+  });
+  const auto dup = std::adjacent_find(entries.begin(), entries.end(),
+                                      [](const auto& a, const auto& b) {
+                                        return a.first.index == b.first.index;
+                                      });
+  if (dup != entries.end()) {
+    return manifest_error(std::next(dup)->second, "duplicate chunk index " +
+                                                      std::to_string(dup->first.index));
+  }
+  if (entries.size() != declared_chunks) {
     return util::Status::invalid_argument(
         "manifest declared " + std::to_string(declared_chunks) +
-        " chunks but holds " + std::to_string(manifest.chunks.size()));
+        " chunks but holds " + std::to_string(entries.size()));
   }
-  std::sort(manifest.chunks.begin(), manifest.chunks.end(),
-            [](const ChunkEntry& a, const ChunkEntry& b) { return a.index < b.index; });
+  manifest.chunks.reserve(entries.size());
+  for (const auto& [entry, line_no] : entries) manifest.chunks.push_back(entry);
   return manifest;
 }
 
@@ -178,11 +156,9 @@ util::Status save_campaign_manifest(util::Fs& fs, const std::string& path,
 }
 
 util::StatusOr<CampaignManifest> load_campaign_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::not_found("cannot open manifest: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return CampaignManifest::parse(buffer.str());
+  auto text = util::read_text_file(path);
+  if (!text.is_ok()) return util::Status::not_found("cannot open manifest: " + path);
+  return CampaignManifest::parse(text.value());
 }
 
 }  // namespace hsr::workload

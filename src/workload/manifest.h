@@ -53,12 +53,10 @@ struct CampaignManifest {
   std::uint64_t chunk_flows = 0;  // planned flows per chunk (last may be short)
   std::vector<ChunkEntry> chunks; // committed chunks, sorted by index
 
-  // True when a chunk with this index is already committed.
-  [[nodiscard]] bool has_chunk(std::uint64_t index) const;
-
   // Deterministic round-trip text ("hsrmanifest-v1"). parse() validates the
   // declared entry count against the lines present and rejects duplicate
-  // chunk indices.
+  // chunk indices. Every number must parse whole (util::parse_number):
+  // decimal, with the spec digest and the CRCs in hex.
   std::string to_text() const;
   [[nodiscard]] static util::StatusOr<CampaignManifest> parse(const std::string& text);
 

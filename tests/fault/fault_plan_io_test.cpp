@@ -62,9 +62,30 @@ TEST(FaultPlanIoTest, EmptyPlanRoundTrips) {
 TEST(FaultPlanIoTest, WhitespaceLabelsAreSanitizedToOneToken) {
   FaultPlan plan;
   plan.blackout(TimePoint::zero(), TimePoint::from_seconds(1.0), "tunnel 3 entry");
+  // Every byte the reader splits at, '\v' and '\f' included.
+  plan.blackout(TimePoint::zero(), TimePoint::from_seconds(1.0), "a\tb\vc\fd\re\nf");
   auto parsed = FaultPlan::parse(plan.to_text());
-  ASSERT_TRUE(parsed.is_ok());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().directives.at(0).label, "tunnel_3_entry");
+  EXPECT_EQ(parsed.value().directives.at(1).label, "a_b_c_d_e_f");
+}
+
+// Token-less lines (blanks only, or a CRLF copy's lone '\r') are skipped
+// before and after the header and between the P line and the directives.
+TEST(FaultPlanIoTest, TokenlessLinesAreSkipped) {
+  PlanFile file;
+  file.plan = every_builder_directive();
+  file.params = ReplayParams{};
+  std::ostringstream os;
+  write_plan_file(os, file);
+  std::string text = os.str();
+  text.insert(text.find("\nX ") + 1, "\r\n \t\n");
+  text.insert(text.find('\n') + 1, " \n");
+  std::istringstream is(" \n\r\n" + text + "\v\n");
+  auto parsed = read_plan_file(is);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().plan, file.plan);
+  EXPECT_EQ(parsed.value().params, file.params);
 }
 
 TEST(FaultPlanIoTest, MalformedInputsReportLineAndToken) {

@@ -50,6 +50,16 @@ TEST(IoFaultPlanTest, TextRoundTripCoversTheBuilderMatrix) {
   EXPECT_FALSE(IoFaultPlan::parse("hsriofaultplan-v1 directives=1\n").is_ok());
 }
 
+TEST(IoFaultPlanTest, TokenlessLinesAreSkipped) {
+  IoFaultPlan plan;
+  plan.fail_nth_write(3, "chunk-", "nth-write").torn_rename("manifest", "tear");
+  std::string text = plan.to_text();
+  text.insert(text.find('\n') + 1, " \n\r\n");
+  const auto parsed = IoFaultPlan::parse("\t\n" + text + " ");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value(), plan);
+}
+
 TEST(IoFaultPlanTest, LoadReadsAPlanFileFromDisk) {
   const std::string path = "io_fault_test_plan.txt";
   IoFaultPlan plan;

@@ -274,6 +274,33 @@ TEST(TraceIoTest, FaultRecordsRoundTrip) {
   EXPECT_EQ(faults[1].label, "delay_spike");  // sanitized, still one token
 }
 
+// A line with no tokens (blanks only, or the lone '\r' a CRLF copy leaves) is
+// skipped before and after the header; it is never indexed as a record.
+TEST(TraceIoTest, WhitespaceOnlyLinesAreSkipped) {
+  std::stringstream ss(" \nhsrtrace-v2 flow=1\n \nD 1 0 0 1000 0 100 - 0\n\t\v\f\n\r\n");
+  auto loaded = read_flow_capture(ss);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().flow, 1u);
+  EXPECT_EQ(loaded.value().data.sent_count(), 1u);
+}
+
+TEST(TraceIoTest, CrlfCopyReadsBackEqualToTheLfOriginal) {
+  std::stringstream lf;
+  write_flow_capture(lf, faulted_capture());
+  std::string crlf;
+  for (const char c : lf.str()) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  crlf += "\r\n";  // and a blank CRLF line at the end
+  std::stringstream in(crlf);
+  auto loaded = read_flow_capture(in);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  std::stringstream back;
+  write_flow_capture(back, loaded.value());
+  EXPECT_EQ(back.str(), lf.str());
+}
+
 // --- Corruption diagnostics ---------------------------------------------------
 
 TEST(TraceIoTest, BitFlippedFieldReportsLineAndToken) {

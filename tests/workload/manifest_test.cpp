@@ -37,14 +37,6 @@ TEST(ManifestTest, TextRoundTripIsLossless) {
   EXPECT_EQ(parsed.value().to_text(), text);
 }
 
-TEST(ManifestTest, HasChunkSeesExactlyTheCommittedIndices) {
-  const CampaignManifest m = sample_manifest();
-  EXPECT_TRUE(m.has_chunk(0));
-  EXPECT_FALSE(m.has_chunk(1));
-  EXPECT_FALSE(m.has_chunk(2));
-  EXPECT_TRUE(m.has_chunk(3));
-}
-
 TEST(ManifestTest, ParseRejectsEveryMalformedShape) {
   const std::string good = sample_manifest().to_text();
 
@@ -80,6 +72,32 @@ TEST(ManifestTest, ParseRejectsEveryMalformedShape) {
     EXPECT_FALSE(CampaignManifest::parse(text).is_ok());
   }
   EXPECT_FALSE(CampaignManifest::parse("").is_ok());
+  // Every number parses whole: no sign, and no two fields fused into one
+  // token (the fused CRC would otherwise be read as bytes 20090000, CRC beef).
+  for (const char* bad : {"-1", "+1", "5+0"}) {
+    std::string text = good;
+    text.replace(text.find("C 0 0 256"), 3, std::string("C ") + bad);
+    const auto r = CampaignManifest::parse(text);
+    ASSERT_FALSE(r.is_ok()) << bad;
+    EXPECT_NE(r.status().message().find("manifest line 2"), std::string::npos)
+        << r.status().message();
+  }
+  {
+    std::string text = good;
+    text.replace(text.find(" 91234 00000001"), 15, " 20090000beef");
+    EXPECT_FALSE(CampaignManifest::parse(text).is_ok()) << text;
+  }
+}
+
+// Token-less lines (blanks only, or a CRLF copy's lone '\r') are skipped
+// before and after the header.
+TEST(ManifestTest, TokenlessLinesAreSkipped) {
+  const CampaignManifest m = sample_manifest();
+  std::string text = m.to_text();
+  text.insert(text.find('\n') + 1, " \n\r\n");
+  const auto parsed = CampaignManifest::parse("\t\n" + text + "\f\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().to_text(), m.to_text());
 }
 
 TEST(ManifestTest, DigestIsStableAndSeparatesSpecs) {

@@ -1,14 +1,14 @@
 // Whole-argument parsing of the command-line tools' numeric flags: the
-// entire text must parse with std::from_chars — no sign, blanks, "inf",
-// "nan" or trailing characters — and land in [lo, hi], so nothing wraps on
-// a narrowing cast or overflows a Duration. A refused value is named, with
+// entire text must pass util::parse_number — no sign, blanks, "inf", "nan"
+// or trailing characters — and land in [lo, hi], so nothing wraps on a
+// narrowing cast or overflows a Duration. A refused value is named, with
 // its flag and the accepted range, on stderr.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
+
+#include "util/text.h"
 
 namespace hsr::tools {
 
@@ -23,11 +23,9 @@ inline constexpr double kMaxFlagSeconds = 9.2e9;
 
 template <typename T>
 bool parse_flag(const char* flag, const char* text, T lo, T hi, T& out) {
-  const char* end = text + std::strlen(text);
   T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
   // NaN fails both bound comparisons.
-  if (ec == std::errc() && ptr == end && value >= lo && value <= hi) {
+  if (util::parse_number(text, value) && value >= lo && value <= hi) {
     out = value;
     return true;
   }

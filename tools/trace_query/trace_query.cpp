@@ -30,11 +30,9 @@
 // block replay over THEIR archived link/TCP topology (downlink plan's block
 // wins if both carry one); parameterless v1 plans fall back to the fixed
 // EXPERIMENTS.md recipe config (10 Mbit/s, 20 ms one-way).
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -54,6 +52,7 @@
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
 #include "util/fs.h"
+#include "util/text.h"
 #include "util/time.h"
 
 namespace {
@@ -80,9 +79,7 @@ int usage() {
 
 // Parses all of `text` as a finite number of seconds greater than zero.
 bool parse_seconds(const char* text, double& out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, out);
-  return ec == std::errc() && ptr == end && std::isfinite(out) && out > 0.0;
+  return hsr::util::parse_number(text, out) && std::isfinite(out) && out > 0.0;
 }
 
 // --- summary -----------------------------------------------------------------
@@ -685,9 +682,7 @@ int main(int argc, char** argv) {
         to_binary = false;
         have_direction = true;
       } else if (arg == "--flow" && i + 1 < argc) {
-        char* end = nullptr;
-        nth = std::strtoull(argv[++i], &end, 10);
-        if (end == argv[i] || *end != '\0') {
+        if (!hsr::util::parse_number(argv[++i], nth)) {
           std::cerr << "convert: bad --flow '" << argv[i] << "'\n";
           return 2;
         }
@@ -709,9 +704,7 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--flow" && i + 1 < argc) {
-      char* end = nullptr;
-      nth = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
+      if (!hsr::util::parse_number(argv[++i], nth)) {
         std::cerr << cmd << ": bad --flow '" << argv[i] << "'\n";
         return 2;
       }
@@ -732,9 +725,8 @@ int main(int argc, char** argv) {
   }
   if (cmd == "why") {
     if (positional.size() != 1) return usage();
-    char* end = nullptr;
-    const std::uint64_t id = std::strtoull(positional[0].c_str(), &end, 10);
-    if (end == positional[0].c_str() || *end != '\0') {
+    std::uint64_t id = 0;
+    if (!hsr::util::parse_number(positional[0], id)) {
       std::cerr << "why: bad packet id '" << positional[0] << "'\n";
       return 2;
     }
