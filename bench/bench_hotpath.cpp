@@ -28,14 +28,16 @@
 // counts are deterministic, so they carry no spread entry). bench_compare.py
 // keys off these suffixes and widens its regression gate by the recorded
 // relative spread, so additions must follow the same naming convention.
+//
+// The binary exits 1 when a steady-state simulation "allocs_per" metric is
+// above 0 or analysis_allocs_per_flow is above 4: allocation counts are the
+// readings the host cannot move, so CI gates on them.
 #define HSRTCP_ALLOC_PROBE_DEFINE_GLOBALS
 #include "util/alloc_probe.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <vector>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -57,65 +59,18 @@ using hsr::util::AllocProbe;
 using hsr::util::Duration;
 using hsr::util::TimePoint;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+using hsr::bench::seconds_since;
+
+// The most heap allocations one analyze_flow call may make: its flat
+// passes allocate a fixed handful of arrays whatever the capture's length.
+constexpr double kMaxAnalysisAllocsPerFlow = 4.0;
 
 struct SectionResult {
   double ops_per_s = 0.0;
   double allocs_per_op = 0.0;
 };
 
-// Per-rep dispersion of a throughput metric. Recorded alongside the
-// best-of-N value so bench_compare.py can tell "this box is noisy" from
-// "this change is slow" and widen its gate accordingly.
-struct Spread {
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
-
-  static Spread of(const std::vector<double>& xs) {
-    Spread s;
-    if (xs.empty()) return s;
-    s.min = s.max = xs[0];
-    double sum = 0.0;
-    for (double x : xs) {
-      s.min = std::min(s.min, x);
-      s.max = std::max(s.max, x);
-      sum += x;
-    }
-    s.mean = sum / static_cast<double>(xs.size());
-    double sq = 0.0;
-    for (double x : xs) sq += (x - s.mean) * (x - s.mean);
-    // Population stddev: the reps ARE the whole sample being described.
-    s.stddev = std::sqrt(sq / static_cast<double>(xs.size()));
-    return s;
-  }
-};
-
-// Best-of-N wrapper: peak throughput is the stable statistic on a shared/
-// noisy box (allocation counts are deterministic — every rep agrees), but
-// every rep's throughput is kept so the JSON can record the spread.
-struct SectionRuns {
-  SectionResult best;
-  Spread ops;
-};
-
-template <class Fn>
-SectionRuns best_of(int reps, Fn fn) {
-  SectionRuns out;
-  std::vector<double> xs;
-  out.best = fn();
-  xs.push_back(out.best.ops_per_s);
-  for (int i = 1; i < reps; ++i) {
-    auto r = fn();
-    xs.push_back(r.ops_per_s);
-    if (r.ops_per_s > out.best.ops_per_s) out.best = r;
-  }
-  out.ops = Spread::of(xs);
-  return out;
-}
+double ops_per_s(const SectionResult& r) { return r.ops_per_s; }
 
 // One pending event at a time: the pure schedule→fire cycle.
 SectionResult bench_schedule_fire(std::uint64_t ops) {
@@ -239,6 +194,8 @@ FlowResult measure_flow(hsr::workload::FlowRunConfig cfg, double sim_seconds) {
   return r;
 }
 
+double events_per_s(const FlowResult& r) { return r.events_per_s; }
+
 FlowResult bench_flow(double sim_seconds, std::uint64_t seed) {
   hsr::workload::FlowRunConfig cfg;
   cfg.profile = hsr::radio::mobile_lte_highspeed();
@@ -305,47 +262,38 @@ int main(int argc, char** argv) {
   const double flow_secs = quick ? 30.0 : 300.0;
   const int reps = quick ? 1 : 3;
 
-  const SectionRuns sf = best_of(reps, [&] { return bench_schedule_fire(ops); });
+  using bench::best_of;
+  const auto sf = best_of(reps, [&] { return bench_schedule_fire(ops); }, ops_per_s);
   std::cout << "schedule+fire      " << sf.best.ops_per_s << " events/s  "
             << sf.best.allocs_per_op << " allocs/event\n";
-  const SectionRuns bf = best_of(reps, [&] { return bench_burst_fire(ops); });
+  const auto bf = best_of(reps, [&] { return bench_burst_fire(ops); }, ops_per_s);
   std::cout << "burst(512)+drain   " << bf.best.ops_per_s << " events/s  "
             << bf.best.allocs_per_op << " allocs/event\n";
-  const SectionRuns tr = best_of(reps, [&] { return bench_timer_rearm(ops); });
+  const auto tr = best_of(reps, [&] { return bench_timer_rearm(ops); }, ops_per_s);
   std::cout << "timer re-arm       " << tr.best.ops_per_s << " ops/s     "
             << tr.best.allocs_per_op << " allocs/op\n";
-  const SectionRuns ta = best_of(reps, [&] { return bench_timer_arm_cancel(ops); });
+  const auto ta = best_of(reps, [&] { return bench_timer_arm_cancel(ops); }, ops_per_s);
   std::cout << "timer arm+cancel   " << ta.best.ops_per_s << " ops/s     "
             << ta.best.allocs_per_op << " allocs/op\n";
-  FlowResult fl = bench_flow(flow_secs, bench::seed());
-  std::vector<double> flow_events_reps{fl.events_per_s};
-  std::vector<double> flow_flows_reps{fl.flows_per_s};
-  for (int i = 1; i < reps; ++i) {
-    const FlowResult r = bench_flow(flow_secs, bench::seed());
-    flow_events_reps.push_back(r.events_per_s);
-    flow_flows_reps.push_back(r.flows_per_s);
-    if (r.events_per_s > fl.events_per_s) fl = r;
-  }
-  const Spread flow_events_spread = Spread::of(flow_events_reps);
-  const Spread flow_flows_spread = Spread::of(flow_flows_reps);
+  const auto fl_runs = best_of(reps, [&] { return bench_flow(flow_secs, bench::seed()); },
+                               events_per_s);
+  const FlowResult& fl = fl_runs.best;
+  // Every rep runs the same events, so flows/s is events/s over a constant.
+  const bench::Spread flow_flows_spread =
+      fl_runs.spread.scaled(1.0 / static_cast<double>(fl.sim_events));
   std::cout << "flow (" << flow_secs << " s sim)  " << fl.events_per_s
             << " events/s  " << fl.flows_per_s << " flows/s  "
             << fl.allocs_per_event << " allocs/event ("
             << fl.sim_events << " events)\n";
-  FlowResult lf = bench_lossy_flow(flow_secs, bench::seed());
-  std::vector<double> lossy_events_reps{lf.events_per_s};
-  for (int i = 1; i < reps; ++i) {
-    const FlowResult r = bench_lossy_flow(flow_secs, bench::seed());
-    lossy_events_reps.push_back(r.events_per_s);
-    if (r.events_per_s > lf.events_per_s) lf = r;
-  }
-  const Spread lossy_events_spread = Spread::of(lossy_events_reps);
+  const auto lf_runs = best_of(
+      reps, [&] { return bench_lossy_flow(flow_secs, bench::seed()); }, events_per_s);
+  const FlowResult& lf = lf_runs.best;
   std::cout << "lossy flow (" << flow_secs << " s sim, SACK+bursts)  "
             << lf.events_per_s << " events/s  " << lf.allocs_per_event
             << " allocs/event (" << lf.sim_events << " events)\n";
   const int analysis_calls = quick ? 20 : 200;
-  const SectionRuns an =
-      best_of(reps, [&] { return bench_analysis(lf.capture, analysis_calls); });
+  const auto an =
+      best_of(reps, [&] { return bench_analysis(lf.capture, analysis_calls); }, ops_per_s);
   const std::uint64_t analysis_transmissions =
       lf.capture.data.sent_count() + lf.capture.acks.sent_count();
   std::cout << "analyze_flow (lossy capture, " << analysis_transmissions
@@ -355,7 +303,7 @@ int main(int argc, char** argv) {
   const auto path = bench::out_dir() / "BENCH_hotpath.json";
   std::ofstream json(path);
   json.precision(10);
-  const auto spread_entry = [&json](const char* name, const Spread& s,
+  const auto spread_entry = [&json](const char* name, const bench::Spread& s,
                                     const char* trailer) {
     json << "    \"" << name << "\": {\"min\": " << s.min
          << ", \"max\": " << s.max << ", \"mean\": " << s.mean
@@ -390,16 +338,40 @@ int main(int argc, char** argv) {
        << "    \"analysis_allocs_per_flow\": " << an.best.allocs_per_op << "\n"
        << "  },\n"
        << "  \"spread\": {\n";
-  spread_entry("schedule_fire_events_per_s", sf.ops, ",");
-  spread_entry("burst_fire_events_per_s", bf.ops, ",");
-  spread_entry("timer_rearm_ops_per_s", tr.ops, ",");
-  spread_entry("timer_arm_cancel_ops_per_s", ta.ops, ",");
-  spread_entry("flow_events_per_s", flow_events_spread, ",");
+  spread_entry("schedule_fire_events_per_s", sf.spread, ",");
+  spread_entry("burst_fire_events_per_s", bf.spread, ",");
+  spread_entry("timer_rearm_ops_per_s", tr.spread, ",");
+  spread_entry("timer_arm_cancel_ops_per_s", ta.spread, ",");
+  spread_entry("flow_events_per_s", fl_runs.spread, ",");
   spread_entry("flows_per_s", flow_flows_spread, ",");
-  spread_entry("lossy_flow_events_per_s", lossy_events_spread, ",");
-  spread_entry("analysis_flows_per_s", an.ops, "");
+  spread_entry("lossy_flow_events_per_s", lf_runs.spread, ",");
+  spread_entry("analysis_flows_per_s", an.spread, "");
   json << "  }\n"
        << "}\n";
   std::cout << "[json] summary -> " << path.string() << "\n";
-  return 0;
+
+  // The gate: allocation counts do not move with the host, so unlike the
+  // throughputs they can fail a run. The simulation's steady state must not
+  // allocate at all.
+  const std::pair<const char*, double> steady_allocs[] = {
+      {"schedule_fire_allocs_per_event", sf.best.allocs_per_op},
+      {"burst_fire_allocs_per_event", bf.best.allocs_per_op},
+      {"timer_rearm_allocs_per_op", tr.best.allocs_per_op},
+      {"timer_arm_cancel_allocs_per_op", ta.best.allocs_per_op},
+      {"flow_allocs_per_event", fl.allocs_per_event},
+      {"lossy_flow_allocs_per_event", lf.allocs_per_event},
+  };
+  int status = 0;
+  for (const auto& [name, allocs] : steady_allocs) {
+    if (allocs > 0.0) {
+      std::cerr << "FAIL: " << name << " = " << allocs << ", want 0\n";
+      status = 1;
+    }
+  }
+  if (an.best.allocs_per_op > kMaxAnalysisAllocsPerFlow) {
+    std::cerr << "FAIL: analysis_allocs_per_flow = " << an.best.allocs_per_op
+              << ", want at most " << kMaxAnalysisAllocsPerFlow << "\n";
+    status = 1;
+  }
+  return status;
 }

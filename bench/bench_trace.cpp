@@ -12,6 +12,11 @@
 //   ./bench_trace --quick         # CI smoke: 4 flows x 10 s sim, 1 rep
 //   python3 tools/bench_compare.py baseline.json current.json
 //
+// Every rep of every section times whole passes over all the captures for
+// at least kMinRepSeconds (0.25 s), not one 20-100 ms pass. Separate runs
+// still drift with the host's load, so compare two builds in alternating
+// runs.
+//
 // Emits bench_out/BENCH_trace.json (schema_version 3: flat best-of-N
 // "metrics", per-metric "spread"; "_per_s" keys are throughputs — see
 // bench_hotpath.cpp for the conventions bench_compare.py keys off).
@@ -20,11 +25,11 @@
 // (exit 1) if the binary format is not at least 4x smaller than text —
 // the corpus-scale storage contract, pinned here and in the trace_query
 // selftest.
-#include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -40,60 +45,27 @@
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+using hsr::bench::seconds_since;
 
-struct Spread {
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
+// Each rep times whole passes for at least this long.
+constexpr double kMinRepSeconds = 0.25;
 
-  static Spread of(const std::vector<double>& xs) {
-    Spread s;
-    if (xs.empty()) return s;
-    s.min = s.max = xs[0];
-    double sum = 0.0;
-    for (double x : xs) {
-      s.min = std::min(s.min, x);
-      s.max = std::max(s.max, x);
-      sum += x;
-    }
-    s.mean = sum / static_cast<double>(xs.size());
-    double sq = 0.0;
-    for (double x : xs) sq += (x - s.mean) * (x - s.mean);
-    s.stddev = std::sqrt(sq / static_cast<double>(xs.size()));
-    return s;
-  }
-};
-
-// flows/s plus MB/s of the format's own bytes, best of N with spread kept
-// for both throughput readings.
-struct Throughput {
-  double flows_per_s = 0.0;
-  double mb_per_s = 0.0;
-  Spread flows_spread;
-  Spread mb_spread;
-};
-
-template <class Fn>
-Throughput best_of(int reps, std::uint64_t flows, std::uint64_t bytes, Fn fn) {
-  std::vector<double> flows_reps;
-  std::vector<double> mb_reps;
-  for (int i = 0; i < reps; ++i) {
+// flows/s of `pass`, which handles all `flows` captures once: best of
+// `reps` reps of at least kMinRepSeconds each, with the spread of every rep.
+template <class Pass>
+hsr::bench::BestOf<double> flows_per_s(int reps, std::uint64_t flows, Pass pass) {
+  const auto rep = [&] {
     const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double wall = seconds_since(t0);
-    flows_reps.push_back(static_cast<double>(flows) / wall);
-    mb_reps.push_back(static_cast<double>(bytes) / wall / 1e6);
-  }
-  Throughput t;
-  t.flows_spread = Spread::of(flows_reps);
-  t.mb_spread = Spread::of(mb_reps);
-  t.flows_per_s = t.flows_spread.max;
-  t.mb_per_s = t.mb_spread.max;
-  return t;
+    std::uint64_t passes = 0;
+    double wall = 0.0;
+    do {
+      pass();
+      ++passes;
+      wall = seconds_since(t0);
+    } while (wall < kMinRepSeconds);
+    return static_cast<double>(passes * flows) / wall;
+  };
+  return hsr::bench::best_of(reps, rep, std::identity{});
 }
 
 }  // namespace
@@ -152,24 +124,27 @@ int main(int argc, char** argv) {
   const double size_ratio =
       static_cast<double>(text_bytes) / static_cast<double>(binary_bytes);
 
-  // --- checksum throughput: enough passes over the archive for a stable
-  // reading (~256 MB per rep, ~32 MB in quick mode) ---------------------------
+  const double text_bpf = static_cast<double>(text_bytes) / static_cast<double>(flow_count);
+  const double bin_bpf = static_cast<double>(binary_bytes) / static_cast<double>(flow_count);
+  // A section's MB/s of its format's own bytes is its flows/s times these.
+  const double text_mb_per_flow = text_bpf / 1e6;
+  const double bin_mb_per_flow = bin_bpf / 1e6;
+
+  // --- checksum throughput over the binary archive ---------------------------
   const std::uint32_t archive_crc = hsr::util::crc32c(binary_corpus);
-  const std::uint64_t crc_passes =
-      std::max<std::uint64_t>(1, (quick ? 32'000'000 : 256'000'000) / binary_bytes);
-  const Throughput crc = best_of(reps, flow_count, crc_passes * binary_bytes, [&] {
-    for (std::uint64_t k = 0; k < crc_passes; ++k) {
-      if (hsr::util::crc32c(binary_corpus) != archive_crc) std::abort();
-    }
+  const auto crc = flows_per_s(reps, flow_count, [&] {
+    if (hsr::util::crc32c(binary_corpus) != archive_crc) std::abort();
   });
+  const hsr::bench::Spread crc_mb_spread = crc.spread.scaled(bin_mb_per_flow);
+  const double crc_mb_per_s = crc.best * bin_mb_per_flow;
 
   // --- write throughput ------------------------------------------------------
-  const Throughput text_write = best_of(reps, flow_count, text_bytes, [&] {
+  const auto text_write = flows_per_s(reps, flow_count, [&] {
     std::ostringstream os;
     for (const auto& cap : captures) hsr::trace::write_flow_capture(os, cap);
     if (os.str().size() != text_bytes) std::abort();
   });
-  const Throughput bin_write = best_of(reps, flow_count, binary_bytes, [&] {
+  const auto bin_write = flows_per_s(reps, flow_count, [&] {
     std::ostringstream os;
     hsr::trace::write_binary_trace_header(os, flow_count);
     std::uint64_t seq = 0;
@@ -178,7 +153,7 @@ int main(int argc, char** argv) {
   });
 
   // --- read throughput -------------------------------------------------------
-  const Throughput text_read = best_of(reps, flow_count, text_bytes, [&] {
+  const auto text_read = flows_per_s(reps, flow_count, [&] {
     std::uint64_t total = 0;
     for (const auto& a : text_archives) {
       std::istringstream is(a);
@@ -188,29 +163,27 @@ int main(int argc, char** argv) {
     }
     if (total == 0) std::abort();
   });
-  const Throughput bin_read = best_of(reps, flow_count, binary_bytes, [&] {
+  const auto bin_read = flows_per_s(reps, flow_count, [&] {
     std::istringstream is(binary_corpus);
     const auto corpus = hsr::trace::read_binary_corpus(is);
     if (!corpus.is_ok() || corpus.value().flows.size() != flow_count) std::abort();
   });
 
-  const double text_bpf = static_cast<double>(text_bytes) / static_cast<double>(flow_count);
-  const double bin_bpf = static_cast<double>(binary_bytes) / static_cast<double>(flow_count);
   std::cout << "size         text " << text_bytes << " B (" << text_bpf
             << " B/flow)  binary " << binary_bytes << " B (" << bin_bpf
             << " B/flow)  ratio " << size_ratio << "x\n";
-  std::cout << "write        text " << text_write.flows_per_s << " flows/s ("
-            << text_write.mb_per_s << " MB/s)  binary " << bin_write.flows_per_s
-            << " flows/s (" << bin_write.mb_per_s << " MB/s)\n";
-  std::cout << "read         text " << text_read.flows_per_s << " flows/s ("
-            << text_read.mb_per_s << " MB/s)  binary " << bin_read.flows_per_s
-            << " flows/s (" << bin_read.mb_per_s << " MB/s)\n";
-  std::cout << "crc32c       " << crc.mb_per_s << " MB/s over the binary archive\n";
+  std::cout << "write        text " << text_write.best << " flows/s ("
+            << text_write.best * text_mb_per_flow << " MB/s)  binary " << bin_write.best
+            << " flows/s (" << bin_write.best * bin_mb_per_flow << " MB/s)\n";
+  std::cout << "read         text " << text_read.best << " flows/s ("
+            << text_read.best * text_mb_per_flow << " MB/s)  binary " << bin_read.best
+            << " flows/s (" << bin_read.best * bin_mb_per_flow << " MB/s)\n";
+  std::cout << "crc32c       " << crc_mb_per_s << " MB/s over the binary archive\n";
 
   const auto path = hsr::bench::out_dir() / "BENCH_trace.json";
   std::ofstream json(path);
   json.precision(10);
-  const auto spread_entry = [&json](const char* name, const Spread& s,
+  const auto spread_entry = [&json](const char* name, const hsr::bench::Spread& s,
                                     const char* trailer) {
     json << "    \"" << name << "\": {\"min\": " << s.min << ", \"max\": " << s.max
          << ", \"mean\": " << s.mean << ", \"stddev\": " << s.stddev << "}"
@@ -226,25 +199,25 @@ int main(int argc, char** argv) {
        << "  \"flows\": " << flow_count << ",\n"
        << "  \"transmissions\": " << transmissions << ",\n"
        << "  \"metrics\": {\n"
-       << "    \"text_write_flows_per_s\": " << text_write.flows_per_s << ",\n"
-       << "    \"text_write_mb_per_s\": " << text_write.mb_per_s << ",\n"
-       << "    \"binary_write_flows_per_s\": " << bin_write.flows_per_s << ",\n"
-       << "    \"binary_write_mb_per_s\": " << bin_write.mb_per_s << ",\n"
-       << "    \"text_read_flows_per_s\": " << text_read.flows_per_s << ",\n"
-       << "    \"text_read_mb_per_s\": " << text_read.mb_per_s << ",\n"
-       << "    \"binary_read_flows_per_s\": " << bin_read.flows_per_s << ",\n"
-       << "    \"binary_read_mb_per_s\": " << bin_read.mb_per_s << ",\n"
-       << "    \"crc32c_mb_per_s\": " << crc.mb_per_s << ",\n"
+       << "    \"text_write_flows_per_s\": " << text_write.best << ",\n"
+       << "    \"text_write_mb_per_s\": " << text_write.best * text_mb_per_flow << ",\n"
+       << "    \"binary_write_flows_per_s\": " << bin_write.best << ",\n"
+       << "    \"binary_write_mb_per_s\": " << bin_write.best * bin_mb_per_flow << ",\n"
+       << "    \"text_read_flows_per_s\": " << text_read.best << ",\n"
+       << "    \"text_read_mb_per_s\": " << text_read.best * text_mb_per_flow << ",\n"
+       << "    \"binary_read_flows_per_s\": " << bin_read.best << ",\n"
+       << "    \"binary_read_mb_per_s\": " << bin_read.best * bin_mb_per_flow << ",\n"
+       << "    \"crc32c_mb_per_s\": " << crc_mb_per_s << ",\n"
        << "    \"text_bytes_per_flow\": " << text_bpf << ",\n"
        << "    \"binary_bytes_per_flow\": " << bin_bpf << ",\n"
        << "    \"text_to_binary_size_ratio\": " << size_ratio << "\n"
        << "  },\n"
        << "  \"spread\": {\n";
-  spread_entry("text_write_flows_per_s", text_write.flows_spread, ",");
-  spread_entry("binary_write_flows_per_s", bin_write.flows_spread, ",");
-  spread_entry("text_read_flows_per_s", text_read.flows_spread, ",");
-  spread_entry("binary_read_flows_per_s", bin_read.flows_spread, ",");
-  spread_entry("crc32c_mb_per_s", crc.mb_spread, "");
+  spread_entry("text_write_flows_per_s", text_write.spread, ",");
+  spread_entry("binary_write_flows_per_s", bin_write.spread, ",");
+  spread_entry("text_read_flows_per_s", text_read.spread, ",");
+  spread_entry("binary_read_flows_per_s", bin_read.spread, ",");
+  spread_entry("crc32c_mb_per_s", crc_mb_spread, "");
   json << "  }\n"
        << "}\n";
   std::cout << "[json] summary -> " << path.string() << "\n";
@@ -254,9 +227,9 @@ int main(int argc, char** argv) {
               << binary_bytes << " vs " << text_bytes << " bytes)\n";
     return 1;
   }
-  if (bin_write.flows_per_s <= text_write.flows_per_s) {
+  if (bin_write.best <= text_write.best) {
     std::cerr << "WARNING: binary writes were not faster than text this run ("
-              << bin_write.flows_per_s << " vs " << text_write.flows_per_s
+              << bin_write.best << " vs " << text_write.best
               << " flows/s)\n";
   }
   return 0;

@@ -13,12 +13,17 @@
 // the knob, instead of silently running a different experiment.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "util/text.h"
 #include "workload/dataset.h"
@@ -84,6 +89,66 @@ inline void compare_row(const std::string& name, double paper, double measured,
   std::cout << std::left << std::setw(44) << name << " paper=" << std::setw(10)
             << paper << " measured=" << std::setw(10) << measured << " " << unit
             << "\n";
+}
+
+// Wall seconds since `t0` on the steady clock.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// Per-rep dispersion of a throughput metric, recorded beside its best-of-N
+// value so tools/bench_compare.py can tell "this box is noisy" from "this
+// change is slow" and widen its gate accordingly.
+struct Spread {
+  double min = 0.0;
+  double max = 0.0;
+  double mean = 0.0;
+  double stddev = 0.0;
+
+  static Spread of(const std::vector<double>& xs) {
+    Spread s;
+    if (xs.empty()) return s;
+    s.min = s.max = xs[0];
+    double sum = 0.0;
+    for (double x : xs) {
+      s.min = std::min(s.min, x);
+      s.max = std::max(s.max, x);
+      sum += x;
+    }
+    s.mean = sum / static_cast<double>(xs.size());
+    double sq = 0.0;
+    for (double x : xs) sq += (x - s.mean) * (x - s.mean);
+    // Population stddev: the reps ARE the whole sample being described.
+    s.stddev = std::sqrt(sq / static_cast<double>(xs.size()));
+    return s;
+  }
+
+  // The spread of `k` times the metric, for a second unit of the same
+  // reading (MB/s beside flows/s over fixed work).
+  Spread scaled(double k) const { return {min * k, max * k, mean * k, stddev * k}; }
+};
+
+// The rep with the highest score, and the spread of every rep's score.
+template <class Result>
+struct BestOf {
+  Result best;
+  Spread spread;
+};
+
+// Calls `run` `reps` times and keeps the result `score` rates highest: peak
+// throughput is the stable statistic on a shared box (allocation counts are
+// deterministic, so every rep agrees on them).
+template <class Run, class Score>
+BestOf<std::invoke_result_t<Run&>> best_of(int reps, Run run, Score score) {
+  BestOf<std::invoke_result_t<Run&>> out{run(), {}};
+  std::vector<double> scores{score(out.best)};
+  for (int i = 1; i < reps; ++i) {
+    auto r = run();
+    scores.push_back(score(r));
+    if (scores.back() > score(out.best)) out.best = std::move(r);
+  }
+  out.spread = Spread::of(scores);
+  return out;
 }
 
 inline void header(const std::string& title) {

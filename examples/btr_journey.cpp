@@ -6,12 +6,12 @@
 // and the radio events, and writes the full series to btr_journey.csv.
 //
 //   $ ./btr_journey [seed] [provider: mobile|unicom|telecom]
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
+#include "args.h"
 #include "radio/profiles.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
@@ -22,7 +22,8 @@
 using namespace hsr;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2015;
+  const std::uint64_t seed = examples::numeric_arg<std::uint64_t>(
+      argc, argv, 1, "seed", 2015, 0, tools::kMaxFlagSeed);
   const std::string prov = argc > 2 ? argv[2] : "mobile";
 
   radio::ProviderProfile profile;

@@ -4,12 +4,12 @@
 //
 //   $ ./corpus_report [scale] [seed]
 //
-// scale in (0,1] shrinks the 255-flow corpus proportionally (default 0.2
-// for a quick run; use 1.0 to regenerate the full corpus).
-#include <cstdlib>
+// scale in [0.01, 1] shrinks the 255-flow corpus proportionally (default
+// 0.2 for a quick run; use 1.0 to regenerate the full corpus).
 #include <iomanip>
 #include <iostream>
 
+#include "args.h"
 #include "model/params.h"
 #include "util/stats.h"
 #include "workload/dataset.h"
@@ -17,9 +17,10 @@
 int main(int argc, char** argv) {
   using namespace hsr;
 
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.2;
+  const double scale = examples::numeric_arg(argc, argv, 1, "scale", 0.2, 0.01, 1.0);
   workload::DatasetSpec spec = workload::DatasetSpec::paper_table1(scale);
-  if (argc > 2) spec.seed = std::strtoull(argv[2], nullptr, 10);
+  spec.seed = examples::numeric_arg<std::uint64_t>(argc, argv, 2, "seed", spec.seed, 0,
+                                                   tools::kMaxFlagSeed);
 
   std::cout << "Generating corpus (scale " << scale << ", seed " << spec.seed
             << ") ...\n";

@@ -4,23 +4,29 @@
 //
 //   $ ./model_explorer [p_d] [P_a] [q] [rtt_s] [T_s] [b] [W_m]
 //   $ ./model_explorer 0.0075 0.01 0.3 0.1 0.5 2 256
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 
+#include "args.h"
 #include "model/enhanced.h"
 
 int main(int argc, char** argv) {
   using namespace hsr::model;
 
+  // Any finite number is accepted: the model checks its own domain.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const auto arg = [&](int index, const char* name, double fallback) {
+    return hsr::examples::numeric_arg(argc, argv, index, name, fallback, -kMax, kMax);
+  };
   EnhancedInputs in;
-  in.p_d = argc > 1 ? std::atof(argv[1]) : 0.0075;
-  in.P_a = argc > 2 ? std::atof(argv[2]) : 0.01;
-  in.q = argc > 3 ? std::atof(argv[3]) : 0.3;
-  in.path.rtt_s = argc > 4 ? std::atof(argv[4]) : 0.1;
-  in.path.t0_s = argc > 5 ? std::atof(argv[5]) : 0.5;
-  in.path.b = argc > 6 ? std::atof(argv[6]) : 2.0;
-  in.path.w_m = argc > 7 ? std::atof(argv[7]) : 256.0;
+  in.p_d = arg(1, "p_d", 0.0075);
+  in.P_a = arg(2, "P_a", 0.01);
+  in.q = arg(3, "q", 0.3);
+  in.path.rtt_s = arg(4, "rtt_s", 0.1);
+  in.path.t0_s = arg(5, "T_s", 0.5);
+  in.path.b = arg(6, "b", 2.0);
+  in.path.w_m = arg(7, "W_m", 256.0);
 
   std::cout << std::fixed << std::setprecision(4);
   std::cout << "inputs: p_d=" << in.p_d << " P_a=" << in.P_a << " q=" << in.q

@@ -3,10 +3,10 @@
 // goodput against the Padhye model and the enhanced model.
 //
 //   $ ./quickstart [seed] [duration_s]
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/flow_analysis.h"
+#include "args.h"
 #include "model/params.h"
 #include "radio/profiles.h"
 #include "workload/scenario.h"
@@ -16,8 +16,10 @@ int main(int argc, char** argv) {
 
   workload::FlowRunConfig cfg;
   cfg.profile = radio::mobile_lte_highspeed();
-  cfg.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  cfg.duration = util::Duration::from_seconds(argc > 2 ? std::atof(argv[2]) : 60.0);
+  cfg.seed = examples::numeric_arg<std::uint64_t>(argc, argv, 1, "seed", 42, 0,
+                                                  tools::kMaxFlagSeed);
+  cfg.duration = util::Duration::from_seconds(examples::numeric_arg(
+      argc, argv, 2, "duration_s", 60.0, tools::kMinFlagSeconds, tools::kMaxFlagSeconds));
 
   std::cout << "=== hsrtcp quickstart ===\n"
             << "profile:  " << cfg.profile.name << " (300 km/h)\n"

@@ -5,12 +5,12 @@
 //
 //   $ ./trace_analyzer [provider: mobile|unicom|telecom] [seconds] [seed]
 //   $ ./trace_analyzer existing_trace.hsrtrace        # analyze a saved file
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
 #include "analysis/flow_analysis.h"
+#include "args.h"
 #include "model/params.h"
 #include "radio/profiles.h"
 #include "trace/trace_io.h"
@@ -79,8 +79,10 @@ int main(int argc, char** argv) {
   if (arg == "mobile") cfg.profile = radio::mobile_lte_highspeed();
   else if (arg == "telecom") cfg.profile = radio::telecom_3g_highspeed();
   else cfg.profile = radio::unicom_3g_highspeed();
-  cfg.duration = util::Duration::from_seconds(argc > 2 ? std::atof(argv[2]) : 90.0);
-  cfg.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  cfg.duration = util::Duration::from_seconds(examples::numeric_arg(
+      argc, argv, 2, "seconds", 90.0, tools::kMinFlagSeconds, tools::kMaxFlagSeconds));
+  cfg.seed = examples::numeric_arg<std::uint64_t>(argc, argv, 3, "seed", 7, 0,
+                                                  tools::kMaxFlagSeed);
 
   std::cout << "simulating " << cfg.profile.name << " for "
             << cfg.duration.to_seconds() << " s (seed " << cfg.seed << ") ...\n";

@@ -306,7 +306,9 @@ util::StatusOr<FaultPlan> plan_only(util::StatusOr<PlanFile> file) {
 }  // namespace
 
 util::StatusOr<PlanFile> read_plan_file(std::istream& is) {
-  return parse_plan_file(util::read_all(is));
+  auto text = util::read_all(is);
+  if (!text.is_ok()) return text.status();
+  return parse_plan_file(text.value());
 }
 
 util::StatusOr<FaultPlan> read_fault_plan(std::istream& is) {

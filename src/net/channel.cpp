@@ -21,15 +21,6 @@ const char* drop_category_name(DropCategory category) {
   return "invalid";
 }
 
-std::string DropCause::component_path_string() const {
-  std::string out;
-  for (std::size_t i = 0; i < component_depth; ++i) {
-    if (i > 0) out += '.';
-    out += std::to_string(component_path[i]);
-  }
-  return out;
-}
-
 BernoulliChannel::BernoulliChannel(double loss_probability, util::Rng rng)
     : p_(loss_probability), rng_(rng) {
   HSR_CHECK_MSG(p_ >= 0.0 && p_ <= 1.0, "loss probability out of range");
@@ -93,36 +84,6 @@ ChannelVerdict JitterChannel::decide(const Packet& p, TimePoint now) {
   const double jitter = std::min(rng_.lognormal(mu_, sigma_), max_s_);
   v.extra_delay += Duration::from_seconds(jitter);
   return v;
-}
-
-CompositeChannel::CompositeChannel(std::vector<std::unique_ptr<ChannelModel>> parts)
-    : parts_(std::move(parts)) {}
-
-ChannelVerdict CompositeChannel::decide(const Packet& p, TimePoint now) {
-  // Every component sees every packet so that stateful components (e.g.
-  // Gilbert–Elliott) evolve consistently regardless of short-circuiting; the
-  // FIRST component to drop wins the cause attribution.
-  ChannelVerdict out;
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    ChannelVerdict v = parts_[i]->decide(p, now);
-    if (v.dropped && !out.dropped) {
-      out.dropped = true;
-      out.cause = v.cause;
-      // Extend the attribution path outward: a nested composite has already
-      // recorded the inner hops, this level contributes its own index as the
-      // new outermost element ("1.0" = our component 1, its component 0).
-      out.cause.prepend_component(static_cast<std::int32_t>(i));
-    }
-    out.extra_delay += v.extra_delay;
-    out.duplicate_copies += v.duplicate_copies;
-  }
-  if (out.dropped) {
-    // Delay/duplication of a dead packet is meaningless; normalize so the
-    // verdict doesn't leak partial per-component effects.
-    out.extra_delay = Duration::zero();
-    out.duplicate_copies = 0;
-  }
-  return out;
 }
 
 FunctionalChannel::FunctionalChannel(DropProbFn drop_prob, DelayFn delay, util::Rng rng)

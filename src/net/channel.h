@@ -1,21 +1,22 @@
 // Channel models decide per-packet fate on the air. Each model implements a
 // single virtual — `decide()` — returning a ChannelVerdict: whether the
-// packet is dropped (with a structured, cause-coded attribution), how much
-// extra (non-queueing) delay it picks up, and how many duplicate copies the
+// packet is dropped (with a DropCause: the category of the mechanism and,
+// for a scripted kill, the directive that fired), how much extra
+// (non-queueing) delay it picks up, and how many duplicate copies the
 // channel injects.
 //
 // Every flow attached to a Link brings its own ChannelModel for that
 // direction (see Link::register_endpoint). The production radio is one
 // FunctionalChannel over radio::RadioEnvironment, optionally wrapped in a
-// fault::FaultInjector; the other models serve tests, benches and ablations.
+// fault::FaultInjector; the other models serve tests, benches and
+// ablations. Models stack only by wrapping one inner channel (JitterChannel,
+// fault::FaultInjector), and a wrapper passes the inner drop cause through
+// untouched, so a cause never has to say where in a stack it arose.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "net/packet.h"
 #include "util/rng.h"
@@ -43,48 +44,13 @@ inline constexpr std::size_t kDropCategoryCount = 8;
 // Human-readable category name ("queue-overflow", "gilbert-elliott-bad", ...).
 const char* drop_category_name(DropCategory category);
 
-// Structured drop attribution: the category plus enough indices to point at
-// the exact mechanism — WHERE in a (possibly nested) CompositeChannel stack
-// the drop happened, and which FaultPlan directive fired for scripted kills.
+// Structured drop attribution: the category of the mechanism that killed
+// the packet and, for scripted kills, which FaultPlan directive fired.
 struct DropCause {
-  // Deepest composite nesting a cause can attribute; past the cap the
-  // INNERMOST hop falls off, keeping the outer context that disambiguates
-  // stacks.
-  static constexpr std::size_t kMaxComponentDepth = 6;
-
   DropCategory category = DropCategory::kUnknown;
-  // Component path, OUTERMOST composite first: element 0 is the dropping
-  // component's index inside the outermost enclosing CompositeChannel,
-  // element depth-1 its index inside the innermost. depth == 0 means the
-  // drop happened outside any composite. A depth-2 stack where the dropping
-  // channel sits at outer index 1 / inner index 0 reports the path "1.0" —
-  // unambiguous where the old flat index aliased ("1.0" vs a plain channel
-  // at index 0 both read 0). Each enclosing composite prepends its own
-  // index as the verdict propagates outward (see CompositeChannel::decide).
-  std::array<std::int16_t, kMaxComponentDepth> component_path{};
-  std::uint8_t component_depth = 0;
   // Index of the scripted FaultPlan directive that fired; -1 for organic
   // (non-scripted) drops.
   std::int32_t directive = -1;
-
-  bool has_component() const { return component_depth > 0; }
-  // Index inside the innermost composite (the last path element); -1 when
-  // no composite attributed the drop. Kept for flat consumers — it is the
-  // exact value the pre-path schema stored.
-  std::int32_t innermost_component() const {
-    return has_component() ? component_path[component_depth - 1] : -1;
-  }
-  // Dotted outermost-first rendering ("1.0"); empty without attribution.
-  std::string component_path_string() const;
-  // Records `index` as the new outermost path element. At capacity the
-  // innermost element is discarded (see kMaxComponentDepth).
-  void prepend_component(std::int32_t index) {
-    const std::size_t keep =
-        component_depth < kMaxComponentDepth ? component_depth : kMaxComponentDepth - 1;
-    for (std::size_t i = keep; i > 0; --i) component_path[i] = component_path[i - 1];
-    component_path[0] = static_cast<std::int16_t>(index);
-    component_depth = static_cast<std::uint8_t>(keep + 1);
-  }
 
   bool is_queue() const { return category == DropCategory::kQueueOverflow; }
   bool is_channel() const {
@@ -221,25 +187,6 @@ class JitterChannel final : public ChannelModel {
   double sigma_;
   double max_s_;
   util::Rng rng_;
-};
-
-// Combines several channels: a packet is dropped if ANY component drops it;
-// extra delays and duplicate copies add up. The drop cause carries the index
-// of the FIRST component that dropped the packet.
-//
-// Nesting: composites can contain composites. Each composite prepends its
-// own dropping-component index to the cause's component path as the verdict
-// propagates outward, so a nested drop reads as an unambiguous outermost-
-// first path ("1.0") — see DropCause::component_path. Pinned by
-// CompositeChannelTest.NestedCompositeReportsFullComponentPath.
-class CompositeChannel final : public ChannelModel {
- public:
-  explicit CompositeChannel(std::vector<std::unique_ptr<ChannelModel>> parts);
-
-  ChannelVerdict decide(const Packet& p, TimePoint now) override;
-
- private:
-  std::vector<std::unique_ptr<ChannelModel>> parts_;
 };
 
 // Adapts a pair of time-varying callables (drop probability, extra delay)

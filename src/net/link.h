@@ -32,9 +32,9 @@ class LinkTap {
   // Senders allocate its id right before Link::send, so ids increase.
   virtual void on_send(const Packet& packet, TimePoint when) = 0;
   // Packet dropped (queue or channel); never delivered. `cause` is the
-  // structured attribution — category plus composite-component / scripted-
-  // directive indices — produced by the Link (queue overflow) or the
-  // ChannelVerdict. Synchronous: reported right after the packet's on_send.
+  // attribution — the category, plus the directive index of a scripted
+  // kill — produced by the Link (queue overflow) or the ChannelVerdict.
+  // Synchronous: reported right after the packet's on_send.
   virtual void on_drop(const Packet& packet, TimePoint when,
                        const DropCause& cause) = 0;
   // Packet delivered to the receiving endpoint.

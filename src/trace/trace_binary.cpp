@@ -174,16 +174,14 @@ void encode_direction(const DirectionCapture& cap, std::string& out) {
       put_delta(out, static_cast<std::uint64_t>((*tx.arrived - tx.sent).ns()), prev);
     }
   }
-  // Dropped column: the structured DropCause path codes.
+  // Dropped column: per drop the category, a reserved 0 byte (it held the
+  // depth of the retired composite-component path) and the directive plus
+  // one.
   for (const auto& tx : txs) {
     if (tx.arrived || !tx.drop_cause) continue;
-    const net::DropCause& cause = *tx.drop_cause;
-    put_u8(out, static_cast<std::uint8_t>(cause.category));
-    put_u8(out, static_cast<std::uint8_t>(cause.component_depth));
-    for (std::size_t i = 0; i < cause.component_depth; ++i) {
-      put_varint(out, static_cast<std::uint16_t>(cause.component_path[i]));
-    }
-    put_varint(out, static_cast<std::uint64_t>(cause.directive) + 1);
+    put_u8(out, static_cast<std::uint8_t>(tx.drop_cause->category));
+    put_u8(out, 0);
+    put_varint(out, static_cast<std::uint64_t>(tx.drop_cause->directive) + 1);
   }
 }
 
@@ -289,19 +287,7 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, DirectionCapture& 
       return frame_error(frame, "bad drop category");
     }
     cause.category = static_cast<DropCategory>(category);
-    const std::uint8_t depth = c.get_u8();
-    if (depth > net::DropCause::kMaxComponentDepth) {
-      return frame_error(frame, "bad component depth");
-    }
-    cause.component_depth = depth;
-    for (std::uint8_t d = 0; d < depth; ++d) {
-      // The text format spells a component as a non-negative int16.
-      const std::uint64_t component = c.get_varint();
-      if (component > std::uint64_t{std::numeric_limits<std::int16_t>::max()}) {
-        return frame_error(frame, "bad component index");
-      }
-      cause.component_path[d] = static_cast<std::int16_t>(component);
-    }
+    if (c.get_u8() != 0) return frame_error(frame, "bad component depth");  // reserved
     // Directives are stored plus one (0 = none), so the largest is 2^31.
     const std::uint64_t directive = c.get_varint();
     if (directive > std::uint64_t{1} << 31) return frame_error(frame, "bad directive");
@@ -639,7 +625,7 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
   if (!sniff_binary_trace(f)) {
     // Text archives have no frames to checksum; a full parse is the
     // strongest check available.
-    auto capture = read_flow_capture(f);
+    auto capture = load_flow_capture(path);
     if (!capture.is_ok()) return capture.status();
     TraceVerifyReport report;
     report.text = true;
@@ -713,12 +699,13 @@ util::StatusOr<FlowCapture> load_flow_capture_any(const std::string& path,
   std::ifstream f(path, std::ios::binary);
   if (!f) return util::Status::not_found("cannot open: " + path);
   if (!sniff_binary_trace(f)) {
-    if (nth > 0) {
+    auto capture = load_flow_capture(path);
+    if (capture.is_ok() && nth > 0) {
       return util::Status::out_of_range(
           path + ": text archives hold a single flow (requested flow " +
           std::to_string(nth) + ")");
     }
-    return read_flow_capture(f);
+    return capture;
   }
 
   BinaryTraceReader reader(f);

@@ -5,10 +5,13 @@
 // scale that text I/O — not the simulator — becomes the wall. hsrtrace-b2
 // stores the same records as per-direction structure-of-arrays columns
 // (ids, seqs, ack_next, sizes, retransmission counts, send times, fate
-// tags, transit times, DropCause path codes), each column delta- and
-// varint-coded — and the near-constant columns (sizes, retransmission
-// counts, fate tags) run-length coded on top — which makes archives several
-// times smaller and much faster to write and read. The two formats are
+// tags, transit times, drop causes), each column delta- and varint-coded —
+// and the near-constant columns (sizes, retransmission counts, fate tags)
+// run-length coded on top — which makes archives several times smaller and
+// much faster to write and read. A drop cause is coded as its category
+// byte, one reserved byte that is always 0 (it held the depth of the
+// retired composite-channel component path; the reader refuses any other
+// value) and the directive plus one as a varint. The two formats are
 // losslessly interconvertible: the binary reader rebuilds the exact
 // FlowCapture the text writer would serialize, byte for byte (pinned by
 // tests and `trace_query convert`). That holds for any packet ids, repeated

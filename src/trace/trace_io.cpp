@@ -47,16 +47,10 @@ bool category_from_code(char code, DropCategory& out) {
   }
 }
 
-// Serializes the structured cause:  <code>[@<component-path>][#<directive>]
-// The component path is dotted outermost-first ("1.0"); an unnested drop
-// writes a single index ("1"), byte-identical to the pre-path flat schema.
+// Serializes the cause:  <code>[#<directive>]
 std::string drop_token(const Transmission& tx) {
   if (!tx.drop_cause) return "-";
   std::string out(1, category_code(tx.drop_cause->category));
-  if (tx.drop_cause->has_component()) {
-    out += '@';
-    out += tx.drop_cause->component_path_string();
-  }
   if (tx.drop_cause->directive >= 0) {
     out += '#';
     out += std::to_string(tx.drop_cause->directive);
@@ -86,32 +80,14 @@ bool parse_drop_token(std::string_view token, std::optional<net::DropCause>& out
   }
   net::DropCause cause;
   if (!category_from_code(token[0], cause.category)) return false;
-  std::string_view rest = token.substr(1);
-  if (!rest.empty() && rest[0] == '@') {
-    const std::size_t hash = rest.find('#');
-    // Dotted outermost-first component path ("1.0"). Archives written before
-    // nesting support carry a single index — the same spelling as a depth-1
-    // path — so one parser reads both generations.
-    const bool directive_follows = hash != std::string_view::npos;
-    std::string_view path = rest.substr(1, directive_follows ? hash - 1 : hash);
-    rest.remove_prefix(directive_follows ? hash : rest.size());
-    for (;;) {
-      const std::size_t dot = path.find('.');
-      std::int16_t index = -1;
-      if (!util::parse_number(path.substr(0, dot), index) || index < 0) return false;
-      if (cause.component_depth >= net::DropCause::kMaxComponentDepth) return false;
-      cause.component_path[cause.component_depth++] = index;
-      if (dot == std::string_view::npos) break;
-      path.remove_prefix(dot + 1);
-    }
-  }
-  if (!rest.empty() && rest[0] == '#') {
-    if (!util::parse_number(rest.substr(1), cause.directive) || cause.directive < 0) {
+  // Only `#<directive>` may follow the code.
+  const std::string_view rest = token.substr(1);
+  if (!rest.empty()) {
+    if (rest[0] != '#' || !util::parse_number(rest.substr(1), cause.directive) ||
+        cause.directive < 0) {
       return false;
     }
-    rest = {};
   }
-  if (!rest.empty()) return false;
   out = cause;
   return true;
 }
@@ -248,7 +224,9 @@ void write_flow_capture(std::ostream& os, const FlowCapture& capture) {
 }
 
 util::StatusOr<FlowCapture> read_flow_capture(std::istream& is) {
-  return parse_flow_capture(util::read_all(is));
+  auto text = util::read_all(is);
+  if (!text.is_ok()) return text.status();
+  return parse_flow_capture(text.value());
 }
 
 util::Status save_flow_capture(util::Fs& fs, const std::string& path,

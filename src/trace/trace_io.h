@@ -3,23 +3,19 @@
 //
 // Format v2 ("hsrtrace-v2"): a header line, then one line per transmission:
 //   <dir> <pkt_id> <seq> <ack_next> <size> <sent_ns> <arrived_ns|-1> <drop> <retx>
-// where dir is D (data) or A (ack) and drop is a structured cause token:
-//   '-'                          no fate recorded (in flight at capture end)
-//   <code>[@<component-path>][#<directive>]   a cause-coded drop
+// where dir is D (data) or A (ack) and drop is a cause token:
+//   '-'                    no fate recorded (in flight at capture end)
+//   <code>[#<directive>]   a cause-coded drop
 // with code one of
 //   'Q' queue overflow,          'C' channel loss, cause unattributed (v1),
 //   'B' Bernoulli loss,          'g' Gilbert–Elliott loss in GOOD state,
 //   'G' Gilbert–Elliott loss in BAD state,
 //   'R' functional radio loss,   'X' scripted fault,
-// `@<component-path>` the dotted, outermost-first index path of the dropping
-// component through (possibly nested) CompositeChannels — "1" for a direct
-// child at index 1, "1.0" for component 0 of a nested composite at index 1 —
-// and `#<directive>` the index of the scripted FaultPlan directive, each
-// present only when recorded. Unnested paths are spelled exactly like the
-// pre-path flat index, so archives written before nested attribution parse
-// (and round-trip) unchanged. Lost packets have arrived_ns = -1 (exactly the
-// convention of the paper's Fig. 1). Scripted-fault audit records follow as
-// `F` lines:
+// and `#<directive>` the index of the scripted FaultPlan directive, present
+// only when one fired. Nothing else may follow the code: the `@<component>`
+// suffix of retired composite-channel attribution is refused. Lost packets
+// have arrived_ns = -1 (exactly the convention of the paper's Fig. 1).
+// Scripted-fault audit records follow as `F` lines:
 //   F <link-dir> <when_ns> <pkt_id> <seq> <kind> <directive> <action> <delay_ns> <label>
 //
 // Readers also accept v1 archives ("hsrtrace-v1"), whose drop column only

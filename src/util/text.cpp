@@ -53,20 +53,23 @@ std::string single_token(std::string_view value, std::string_view fallback) {
   return out;
 }
 
-std::string read_all(std::istream& is) {
+StatusOr<std::string> read_all(std::istream& is) {
   std::string text;
   char buf[1 << 16];
   do {
     is.read(buf, sizeof(buf));
     text.append(buf, static_cast<std::size_t>(is.gcount()));
   } while (is);
+  if (is.bad() || !is.eof()) return Status::internal("read failed");
   return text;
 }
 
 StatusOr<std::string> read_text_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return Status::not_found("cannot open: " + path);
-  return read_all(f);
+  auto text = read_all(f);
+  if (!text.is_ok()) return Status::internal("read failed: " + path);
+  return text;
 }
 
 }  // namespace hsr::util

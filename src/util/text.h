@@ -77,10 +77,13 @@ class LineReader {
 // byte becomes '_', so a label can never split into two fields.
 std::string single_token(std::string_view value, std::string_view fallback);
 
-// Every byte left in `is`.
-std::string read_all(std::istream& is);
+// Every byte left in `is`; kInternal "read failed" unless the read ends at
+// a clean end of file, so a directory or an I/O error never passes for a
+// shorter text.
+[[nodiscard]] StatusOr<std::string> read_all(std::istream& is);
 
-// The whole file; kNotFound "cannot open: <path>" when it cannot be opened.
+// The whole file; kNotFound "cannot open: <path>" when it cannot be opened,
+// and kInternal "read failed: <path>" when read_all fails on it.
 [[nodiscard]] StatusOr<std::string> read_text_file(const std::string& path);
 
 }  // namespace hsr::util

@@ -157,7 +157,10 @@ util::Status save_campaign_manifest(util::Fs& fs, const std::string& path,
 
 util::StatusOr<CampaignManifest> load_campaign_manifest(const std::string& path) {
   auto text = util::read_text_file(path);
-  if (!text.is_ok()) return util::Status::not_found("cannot open manifest: " + path);
+  if (text.status().code() == util::StatusCode::kNotFound) {
+    return util::Status::not_found("cannot open manifest: " + path);
+  }
+  if (!text.is_ok()) return text.status();
   return CampaignManifest::parse(text.value());
 }
 

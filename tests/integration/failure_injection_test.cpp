@@ -155,14 +155,11 @@ TEST(FailureInjectionTest, MitigationsStackSurvivesChaos) {
   cfg.tcp.enable_frto = true;
   cfg.tcp.adaptive_delack = true;
   cfg.tcp.congestion_control = tcp::CongestionControl::kNewReno;
-  std::vector<std::unique_ptr<net::ChannelModel>> down_parts, up_parts;
-  down_parts.push_back(std::make_unique<net::BernoulliChannel>(0.03, Rng(7)));
-  down_parts.push_back(std::make_unique<net::JitterChannel>(
-      std::make_unique<PerfectChannel>(), 0.02, 0.8, 0.2, Rng(8)));
-  up_parts.push_back(std::make_unique<net::BernoulliChannel>(0.05, Rng(9)));
-  tcp::Connection conn(sim, 1, cfg,
-                       std::make_unique<net::CompositeChannel>(std::move(down_parts)),
-                       std::make_unique<net::CompositeChannel>(std::move(up_parts)));
+  tcp::Connection conn(
+      sim, 1, cfg,
+      std::make_unique<net::JitterChannel>(
+          std::make_unique<net::BernoulliChannel>(0.03, Rng(7)), 0.02, 0.8, 0.2, Rng(8)),
+      std::make_unique<net::BernoulliChannel>(0.05, Rng(9)));
   conn.start();
   sim.run_until(TimePoint::from_seconds(60));
   EXPECT_GT(conn.receiver().stats().unique_segments, 1000u);

@@ -4,9 +4,11 @@
 // start. Each input must parse or be refused with kInvalidArgument, never
 // crash; whatever parses must re-serialize to a fixed point; and a
 // token-less line (blanks only, or the lone '\r' a CRLF copy leaves) must
-// change nothing at all.
+// change nothing at all. Every file loader of these formats must refuse a
+// directory as a failed read.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include "analysis/corpus_stats.h"
 #include "fault/io_fault.h"
 #include "fault/plan_io.h"
+#include "trace/trace_binary.h"
 #include "trace/trace_io.h"
 #include "workload/manifest.h"
 
@@ -22,12 +25,12 @@ namespace hsr {
 namespace {
 
 // A trace with 'F' audit lines, a lost packet still in flight ('-') and
-// nested component paths with a directive ("@1.0#4").
+// a scripted drop's directive ("X#4").
 constexpr char kTrace[] =
     "hsrtrace-v2 flow=7\n"
     "D 1 1 0 1400 1000 31000 - 0\n"
-    "D 2 2 0 1400 2000 -1 X@1.0#4 0\n"
-    "D 3 3 0 1400 3000 -1 G@1 1\n"
+    "D 2 2 0 1400 2000 -1 X#4 0\n"
+    "D 3 3 0 1400 3000 -1 G 1\n"
     "D 4 2 0 1400 50000 -1 - 1\n"
     "A 5 0 2 52 35000 -1 Q 0\n"
     "A 6 0 2 52 36000 66000 - 0\n"
@@ -193,6 +196,27 @@ TEST(TextFormatsMutationTest, TokenlessLinesChangeNothing) {
                                   << "\n" << input;
       EXPECT_EQ(parsed.value(), pristine.value()) << format.name << "\n" << input;
     }
+  }
+}
+
+// A directory opens like a file but reads nothing: each loader must report
+// the failed read by path instead of parsing an empty text.
+TEST(TextLoadersTest, DirectoryIsAReadError) {
+  const std::string dir = testing::TempDir() + "text_loaders_test_dir";
+  std::filesystem::create_directories(dir);
+  const std::vector<std::pair<const char*, util::Status>> loaded = {
+      {"load_flow_capture", trace::load_flow_capture(dir).status()},
+      {"load_flow_capture_any", trace::load_flow_capture_any(dir).status()},
+      {"verify_trace_file", trace::verify_trace_file(dir).status()},
+      {"load_plan_file", fault::load_plan_file(dir).status()},
+      {"IoFaultPlan::load", fault::IoFaultPlan::load(dir).status()},
+      {"load_campaign_manifest", workload::load_campaign_manifest(dir).status()},
+      {"load_corpus_stats", analysis::load_corpus_stats(dir).status()},
+  };
+  std::filesystem::remove(dir);
+  for (const auto& [loader, status] : loaded) {
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal) << loader;
+    EXPECT_EQ(status.message(), "read failed: " + dir) << loader;
   }
 }
 

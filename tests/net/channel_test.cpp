@@ -185,79 +185,6 @@ TEST(JitterChannelTest, DelegatesDropsToInner) {
   EXPECT_EQ(v.cause, DropCause::bernoulli());
 }
 
-TEST(CompositeChannelTest, DropsIfAnyComponentDrops) {
-  std::vector<std::unique_ptr<ChannelModel>> parts;
-  parts.push_back(std::make_unique<BernoulliChannel>(0.0, util::Rng(1)));
-  parts.push_back(std::make_unique<BernoulliChannel>(1.0, util::Rng(2)));
-  CompositeChannel ch(std::move(parts));
-  EXPECT_TRUE(ch.decide(make_packet(), TimePoint::zero()).dropped);
-}
-
-TEST(CompositeChannelTest, CausesCarryTheDroppingComponentIndex) {
-  // Component 0 never drops; component 2 always does: every cause must name
-  // component 2 and keep the component's own category.
-  std::vector<std::unique_ptr<ChannelModel>> parts;
-  parts.push_back(std::make_unique<BernoulliChannel>(0.0, util::Rng(1)));
-  parts.push_back(std::make_unique<PerfectChannel>());
-  parts.push_back(std::make_unique<BernoulliChannel>(1.0, util::Rng(2)));
-  CompositeChannel ch(std::move(parts));
-  const ChannelVerdict v = ch.decide(make_packet(), TimePoint::zero());
-  ASSERT_TRUE(v.dropped);
-  EXPECT_EQ(v.cause.category, DropCategory::kBernoulli);
-  EXPECT_EQ(v.cause.component_path_string(), "2");
-  // A drop never carries delay/duplication side effects.
-  EXPECT_EQ(v.extra_delay, Duration::zero());
-  EXPECT_EQ(v.duplicate_copies, 0u);
-}
-
-TEST(CompositeChannelTest, FirstDroppingComponentWinsAttribution) {
-  std::vector<std::unique_ptr<ChannelModel>> parts;
-  parts.push_back(std::make_unique<BernoulliChannel>(1.0, util::Rng(1)));
-  parts.push_back(std::make_unique<BernoulliChannel>(1.0, util::Rng(2)));
-  CompositeChannel ch(std::move(parts));
-  const ChannelVerdict v = ch.decide(make_packet(), TimePoint::zero());
-  ASSERT_TRUE(v.dropped);
-  EXPECT_EQ(v.cause.component_path_string(), "0");
-}
-
-TEST(CompositeChannelTest, NestedCompositeReportsFullComponentPath) {
-  // Path-aware attribution (channel.h): a depth-2 stack where the dropping
-  // channel sits at OUTER index 1 / INNER index 0 must report the full
-  // outermost-first path "1.0" — the innermost composite stamps its index
-  // and the outer composite PREPENDS its own, so nested drops no longer
-  // alias with a plain channel at index 0 (the old flat-index limitation).
-  std::vector<std::unique_ptr<ChannelModel>> inner_parts;
-  inner_parts.push_back(std::make_unique<BernoulliChannel>(1.0, util::Rng(1)));
-  inner_parts.push_back(std::make_unique<PerfectChannel>());
-  auto inner = std::make_unique<CompositeChannel>(std::move(inner_parts));
-
-  std::vector<std::unique_ptr<ChannelModel>> outer_parts;
-  outer_parts.push_back(std::make_unique<PerfectChannel>());
-  outer_parts.push_back(std::move(inner));
-  CompositeChannel outer(std::move(outer_parts));
-
-  const ChannelVerdict v = outer.decide(make_packet(), TimePoint::zero());
-  ASSERT_TRUE(v.dropped);
-  EXPECT_EQ(v.cause.category, DropCategory::kBernoulli);
-  // Outermost-first: outer position of the nested composite (1), then the
-  // index inside it (0). The flat innermost view is still available.
-  EXPECT_EQ(v.cause.component_path_string(), "1.0");
-  EXPECT_EQ(v.cause.component_depth, 2);
-  EXPECT_EQ(v.cause.innermost_component(), 0);
-}
-
-TEST(CompositeChannelTest, DelaysAddUp) {
-  std::vector<std::unique_ptr<ChannelModel>> parts;
-  parts.push_back(std::make_unique<JitterChannel>(
-      std::make_unique<PerfectChannel>(), 0.010, 1e-9, 0.010, util::Rng(1)));
-  parts.push_back(std::make_unique<JitterChannel>(
-      std::make_unique<PerfectChannel>(), 0.010, 1e-9, 0.010, util::Rng(2)));
-  CompositeChannel ch(std::move(parts));
-  const ChannelVerdict v = ch.decide(make_packet(), TimePoint::zero());
-  ASSERT_FALSE(v.dropped);
-  EXPECT_NEAR(v.extra_delay.to_seconds(), 0.020, 0.002);
-}
-
 TEST(FunctionalChannelTest, UsesProvidedCallables) {
   int drop_calls = 0;
   FunctionalChannel ch(

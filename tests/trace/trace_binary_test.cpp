@@ -39,9 +39,8 @@ FlowCapture sample_capture() {
   d2.retx_count = 1;
   d2.is_retransmission = true;
   cap.data.on_send(d2, TimePoint::from_ns(2000));
-  net::DropCause ge_bad = net::DropCause::gilbert_elliott(/*bad_state=*/true);
-  ge_bad.prepend_component(1);
-  cap.data.on_drop(d2, TimePoint::from_ns(2000), ge_bad);
+  cap.data.on_drop(d2, TimePoint::from_ns(2000),
+                   net::DropCause::gilbert_elliott(/*bad_state=*/true));
 
   Packet d3 = d1;
   d3.id = 4;
@@ -369,10 +368,10 @@ std::string archive_with_drop_cause(const std::string& cause) {
   return archive_around(varint(1) + data_direction + varint(0) + varint(0));
 }
 
-// Category, depth and components of a Bernoulli drop, before the directive.
-std::string bernoulli_at(std::uint64_t component) {
-  return std::string{static_cast<char>(net::DropCategory::kBernoulli), '\x01'} +
-         varint(component);
+// The category byte and the reserved byte after it (0 in every valid
+// archive) of a Bernoulli drop, before the directive.
+std::string bernoulli_cause(char reserved = '\0') {
+  return std::string{static_cast<char>(net::DropCategory::kBernoulli), reserved};
 }
 
 // Reads `bytes` as a corpus and verifies them as the file `path` (one name
@@ -393,21 +392,25 @@ util::Status read_and_verify(const std::string& bytes, const std::string& path,
   return util::Status::ok();
 }
 
-// The text format spells a component as a non-negative int16; a larger
-// one would decode, then print as a negative index the text reader rejects.
-TEST(TraceBinaryTest, ComponentBeyondInt16IsRejected) {
+// The byte after a drop's category is reserved and always 0: it held the
+// depth of the retired composite-component path, so an archive that still
+// carries a path is refused by name instead of misread.
+TEST(TraceBinaryTest, NonZeroComponentDepthIsRejected) {
   const std::string path = "trace_binary_test_component.b2";
   std::string text;
-  ASSERT_TRUE(read_and_verify(archive_with_drop_cause(bernoulli_at(32767) + varint(0)),
-                              path, &text)
-                  .is_ok());
-  EXPECT_NE(text.find(" B@32767 "), std::string::npos) << text;
+  ASSERT_TRUE(
+      read_and_verify(archive_with_drop_cause(bernoulli_cause() + varint(0)), path, &text)
+          .is_ok());
+  EXPECT_NE(text.find(" B "), std::string::npos) << text;
 
-  const util::Status status = read_and_verify(
-      archive_with_drop_cause(bernoulli_at(40000) + varint(0)), path, &text);
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_NE(status.message().find("frame 0: bad component index"), std::string::npos)
-      << status.to_string();
+  for (const char depth : {'\x01', '\x06', '\xff'}) {
+    const std::string with_path = bernoulli_cause(depth) + varint(1) + varint(0);
+    const util::Status status =
+        read_and_verify(archive_with_drop_cause(with_path), path, &text);
+    ASSERT_FALSE(status.is_ok()) << int{depth};
+    EXPECT_NE(status.message().find("frame 0: bad component depth"), std::string::npos)
+        << status.to_string();
+  }
 }
 
 // Directives are archived plus one, so the stored value 2^31 is the largest
@@ -416,12 +419,13 @@ TEST(TraceBinaryTest, DirectiveBeyondInt32IsRejected) {
   const std::uint64_t largest = std::uint64_t{1} << 31;
   const std::string path = "trace_binary_test_directive.b2";
   std::string text;
-  ASSERT_TRUE(read_and_verify(archive_with_drop_cause(bernoulli_at(0) + varint(largest)),
+  ASSERT_TRUE(read_and_verify(archive_with_drop_cause(bernoulli_cause() + varint(largest)),
                               path, &text)
                   .is_ok());
-  EXPECT_NE(text.find(" B@0#2147483647 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" B#2147483647 "), std::string::npos) << text;
 
-  const std::string beyond = archive_with_drop_cause(bernoulli_at(0) + varint(largest + 1));
+  const std::string beyond =
+      archive_with_drop_cause(bernoulli_cause() + varint(largest + 1));
   const util::Status status = read_and_verify(beyond, path, &text);
   ASSERT_FALSE(status.is_ok());
   EXPECT_NE(status.message().find("frame 0: bad directive"), std::string::npos)

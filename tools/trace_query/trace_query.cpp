@@ -124,9 +124,6 @@ void print_fate(const hsr::trace::FlowCapture& cap, char direction,
     return;
   }
   os << "LOST: " << hsr::net::drop_category_name(tx.drop_cause->category);
-  if (tx.drop_cause->has_component()) {
-    os << ", channel component " << tx.drop_cause->component_path_string();
-  }
   if (tx.drop_cause->directive >= 0) {
     os << ", fault directive " << tx.drop_cause->directive;
     const std::string label = scripted_label(cap, direction, tx.packet.id);
