@@ -6,6 +6,8 @@
 //                    bench suite finishes in seconds. Use 1.0 to regenerate
 //                    the full 255-flow corpus (as reported in EXPERIMENTS.md).
 //   HSR_BENCH_SEED   experiment seed; default 2015.
+//   HSR_BENCH_THREADS corpus-generation worker threads in [1, 512]; default
+//                    hardware concurrency.
 //   HSR_BENCH_OUT    directory for full-resolution CSV dumps; default
 //                    "bench_out" under the current directory.
 // A numeric knob that is set must parse completely and lie in its range;
@@ -54,6 +56,13 @@ inline std::uint64_t seed() {
                                  "[0, 2^64)");
 }
 
+// Worker threads for corpus generation; 0 (unset) = hardware concurrency.
+inline unsigned threads() {
+  return env_knob("HSR_BENCH_THREADS", 0u,
+                  [](unsigned v) { return v >= 1 && v <= workload::kMaxBenchThreads; },
+                  "[1, 512]");
+}
+
 inline std::filesystem::path out_dir() {
   const char* s = std::getenv("HSR_BENCH_OUT");
   std::filesystem::path dir = s ? s : "bench_out";
@@ -74,6 +83,7 @@ inline const workload::DatasetResult& corpus() {
   static const workload::DatasetResult ds = [] {
     workload::DatasetSpec spec = workload::DatasetSpec::paper_table1(scale());
     spec.seed = seed();
+    spec.threads = threads();
     std::cerr << "[bench] generating corpus: scale=" << scale()
               << " seed=" << seed() << " ..." << std::flush;
     auto result = workload::generate_dataset(spec);

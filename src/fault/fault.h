@@ -13,9 +13,9 @@
 // triggered fault so traces show WHY a packet died.
 //
 // Plans are also portable artifacts: FaultPlan::to_text() serializes a plan
-// to a line-oriented text format ("hsrfaultplan-v1", see fault/plan_io.h)
-// and FaultPlan::parse() reads it back, so an archived experiment can be
-// re-run bit-identically from its plan file alone.
+// to a line-oriented text format ("hsrfaultplan-v1", grammar at FaultPlan)
+// and FaultPlan::parse() / load() read it back, so an archived experiment
+// can be re-run bit-identically from its plan file alone.
 //
 // Everything here is deterministic by construction: no RNG, only packet
 // metadata and the virtual clock.
@@ -89,15 +89,32 @@ struct FaultDirective {
 // An ordered fault script for ONE link direction. Builder methods cover the
 // paper's recovery-phase pathologies; arbitrary directives can be appended
 // directly to `directives`.
+//
+// Portable text serialization ("hsrfaultplan-v1") — a header line, then ONE
+// positional-token line per directive:
+//   hsrfaultplan-v1 directives=<N>
+//   <action> <kind> <win_begin_ns> <win_end_ns> <seq_min> <seq_max>
+//       <retx> <max_triggers> <delay_ns> <copies> <label>
+// (one line; wrapped here for width) where
+//   action is 'X' (drop), 'L' (delay) or '2' (duplicate) — the same codes
+//     the trace fault-audit lines use;
+//   kind is '*' (any), 'D' (data) or 'A' (ack);
+//   retx is 0 or 1 (only_retransmissions);
+//   '*' stands in for the unbounded sentinel in win_end_ns / seq_max /
+//     max_triggers (TimePoint::max(), SeqNo max, uint64 max respectively);
+//   label is a single whitespace-free token (sanitized on write).
+// parse(to_text(p)) == p for every plan. The header count is an integrity
+// check, and malformed input fails with the line number and offending token
+// in the Status message. Tokens, numbers and token-less lines follow the
+// rule set every text format shares (util/text.h, DESIGN.md §6i).
 struct FaultPlan {
   std::vector<FaultDirective> directives;
 
   [[nodiscard]] bool empty() const { return directives.empty(); }
 
-  // Portable text serialization ("hsrfaultplan-v1"). parse(to_text(p)) == p
-  // for every plan; see fault/plan_io.h for the grammar and file helpers.
   [[nodiscard]] std::string to_text() const;
   [[nodiscard]] static util::StatusOr<FaultPlan> parse(const std::string& text);
+  [[nodiscard]] static util::StatusOr<FaultPlan> load(const std::string& path);
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 

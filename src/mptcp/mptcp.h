@@ -40,9 +40,9 @@ struct MptcpConfig {
   tcp::TcpConfig subflow_tcp;
 
   // One-source-of-truth subflow setup: expands the shared protocol knobs
-  // (the same tcp::TcpOptions carried by workload configs and
-  // hsrfaultplan-v2 parameter blocks) into the subflow stack config, so
-  // MPTCP subflows stay in lockstep with single-path TCP flows.
+  // (the same tcp::TcpOptions carried by workload configs) into the subflow
+  // stack config, so MPTCP subflows stay in lockstep with single-path TCP
+  // flows.
   void set_subflow_options(const tcp::TcpOptions& options, unsigned receiver_window) {
     subflow_tcp = tcp::make_tcp_config(options, receiver_window);
   }

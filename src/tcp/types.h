@@ -41,9 +41,8 @@ enum class CongestionControl : std::uint8_t { kReno = 0, kNewReno = 1, kVeno = 2
 // The protocol-level knobs of one TCP flow, independent of the path it runs
 // over. Every surface that configures flows carries THIS struct instead of
 // re-declaring the fields — workload::FlowRunConfig, the multi-flow
-// scenario's per-sender specs, MPTCP subflow setup and the hsrfaultplan-v2
-// parameter block all share it, so a knob added here reaches all of them at
-// once (and the plan-file round trip keeps archived experiments replayable).
+// scenario's per-sender specs and MPTCP subflow setup all share it, so a
+// knob added here reaches all of them at once.
 // make_tcp_config() expands the options into the stack-level TcpConfig.
 struct TcpOptions {
   CongestionControl congestion_control = CongestionControl::kReno;
@@ -53,8 +52,6 @@ struct TcpOptions {
   unsigned delayed_ack_b = 2;      // segments per cumulative ACK (b)
   Duration min_rto = Duration::millis(200);
   std::uint32_t mss_bytes = 1400;
-
-  friend bool operator==(const TcpOptions&, const TcpOptions&) = default;
 };
 
 struct TcpConfig {
@@ -115,19 +112,6 @@ inline TcpConfig make_tcp_config(const TcpOptions& options, unsigned receiver_wi
   t.rto.min_rto = options.min_rto;
   t.receiver_window = receiver_window;
   return t;
-}
-
-// The protocol options a TcpConfig embodies (inverse of make_tcp_config).
-inline TcpOptions options_of(const TcpConfig& config) {
-  TcpOptions o;
-  o.congestion_control = config.congestion_control;
-  o.enable_sack = config.enable_sack;
-  o.enable_frto = config.enable_frto;
-  o.adaptive_delack = config.adaptive_delack;
-  o.delayed_ack_b = config.delayed_ack_b;
-  o.mss_bytes = config.mss_bytes;
-  o.min_rto = config.rto.min_rto;
-  return o;
 }
 
 // Ground-truth sender events, logged by the stack itself. Used to validate

@@ -211,6 +211,10 @@ util::Status frame_error(std::uint64_t frame, const std::string& why) {
                                         ": " + why);
 }
 
+// A read that failed (badbit: the device, not the data) is an error, never
+// a clean end or a torn tail.
+util::Status read_failed() { return util::Status::internal("read failed"); }
+
 // Inverse of put_rle: `set` gives each record its run's value. Rejects zero
 // or overshooting run lengths so corrupt input cannot loop or scribble.
 template <typename Set>
@@ -450,12 +454,14 @@ void write_quarantine_frame(std::ostream& os, const QuarantineRecord& record,
 util::Status BinaryTraceReader::open() {
   char magic[kBinaryTraceMagicSize] = {};
   is_.read(magic, kBinaryTraceMagicSize);
+  if (is_.bad()) return read_failed();
   if (is_.gcount() != static_cast<std::streamsize>(kBinaryTraceMagicSize) ||
       std::memcmp(magic, kBinaryTraceMagic, kBinaryTraceMagicSize) != 0) {
     return util::Status::invalid_argument("not an hsrtrace stream (bad magic)");
   }
   unsigned char count[8] = {};
   is_.read(reinterpret_cast<char*>(count), 8);
+  if (is_.bad()) return read_failed();
   if (is_.gcount() != 8) {
     return util::Status::invalid_argument("hsrtrace header truncated");
   }
@@ -469,13 +475,17 @@ util::Status BinaryTraceReader::open() {
 util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   if (torn_) return Frame::kTorn;
   char type = 0;
-  if (!is_.get(type)) return Frame::kEnd;
+  if (!is_.get(type)) {
+    if (is_.bad()) return read_failed();
+    return Frame::kEnd;
+  }
 
   // [crc4][seq8][size8]. A short header read is a torn tail, exactly like a
   // short payload read.
   unsigned char head[20] = {};
   is_.read(reinterpret_cast<char*>(head), static_cast<std::streamsize>(sizeof head));
   if (is_.gcount() != static_cast<std::streamsize>(sizeof head)) {
+    if (is_.bad()) return read_failed();
     torn_ = true;
     return Frame::kTorn;
   }
@@ -499,6 +509,7 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
     payload_.resize(have + step);
     is_.read(payload_.data() + have, static_cast<std::streamsize>(step));
     if (is_.gcount() != static_cast<std::streamsize>(step)) {
+      if (is_.bad()) return read_failed();
       // The writer died (or the copy was cut) mid-frame: drop the torn
       // tail, keep everything before it — same contract as the text
       // reader's torn-final-line tolerance.

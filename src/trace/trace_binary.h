@@ -100,7 +100,8 @@ class BinaryTraceReader {
  public:
   explicit BinaryTraceReader(std::istream& is) : is_(is) {}
 
-  // Validates the magic and reads the declared flow count.
+  // Validates the magic and reads the declared flow count. A failed read
+  // (the stream's badbit) is kInternal "read failed", here and in next().
   [[nodiscard]] util::Status open();
   std::uint64_t declared_flow_count() const { return declared_flow_count_; }
 

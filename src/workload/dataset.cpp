@@ -1,7 +1,6 @@
 #include "workload/dataset.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -153,45 +152,13 @@ FlowRecord run_and_analyze(const DatasetSpec& spec, std::uint64_t flow_index,
   return rec;
 }
 
-}  // namespace
-
-util::StatusOr<unsigned> parse_bench_threads(const char* text) {
-  const std::string value = text == nullptr ? "" : text;
-  unsigned parsed = 0;
-  if (!util::parse_number(value, parsed)) {
-    return util::Status::invalid_argument(
-        "HSR_BENCH_THREADS='" + value + "' is not a plain decimal thread count");
-  }
-  if (parsed == 0) {
-    return util::Status::invalid_argument(
-        "HSR_BENCH_THREADS=0 is meaningless (use 1 for sequential, unset for "
-        "hardware concurrency)");
-  }
-  if (parsed > kMaxBenchThreads) {
-    return util::Status::invalid_argument(
-        "HSR_BENCH_THREADS=" + value + " is absurd (max " +
-        std::to_string(kMaxBenchThreads) + ")");
-  }
-  return parsed;
-}
-
-namespace {
-
-// Resolves the worker count, or an error when HSR_BENCH_THREADS is set but
-// malformed or the requested count is absurd (the run is rejected rather
-// than silently falling back, and before any thread starts).
+// Resolves the worker count (0 = hardware concurrency), or an error when the
+// requested count is absurd (the run is rejected before any thread starts).
 util::StatusOr<unsigned> resolve_dataset_threads(unsigned requested) {
   if (requested > kMaxBenchThreads) {
     return util::Status::invalid_argument(
         "DatasetSpec::threads=" + std::to_string(requested) + " is absurd (max " +
         std::to_string(kMaxBenchThreads) + ")");
-  }
-  if (requested == 0) {
-    if (const char* env = std::getenv("HSR_BENCH_THREADS")) {
-      auto parsed = parse_bench_threads(env);
-      if (!parsed.is_ok()) return parsed.status();
-      return parsed.value();
-    }
   }
   return util::resolve_thread_count(requested);
 }
@@ -448,6 +415,15 @@ StreamingDatasetResult generate_dataset_streaming(
   }
 
   util::Fs& fs = options.fs != nullptr ? *options.fs : util::Fs::real();
+  // The merge would only fail at its final rename, after the whole campaign.
+  if (fs.exists(options.corpus_path)) {
+    auto size = fs.file_size(options.corpus_path);
+    if (!size.is_ok()) {
+      out.config_status = util::Status::invalid_argument(
+          "corpus_path is not a regular file: " + size.status().message());
+      return out;
+    }
+  }
   const std::string work_dir =
       options.work_dir.empty() ? options.corpus_path + ".work" : options.work_dir;
   const std::uint64_t chunk_flows = options.chunk_flows == 0

@@ -37,12 +37,11 @@ struct DatasetSpec {
   util::Duration flow_duration_min = util::Duration::seconds(180);
   util::Duration flow_duration_max = util::Duration::seconds(300);
   std::uint64_t seed = 2015;
-  // Worker threads for flow simulation. 0 = the HSR_BENCH_THREADS env knob
-  // if set, else std::thread::hardware_concurrency(); 1 = fully sequential
-  // (the legacy single-threaded path). Every flow is an independent,
-  // fork-seeded simulation whose record lands in a pre-sized slot, so the
-  // result is byte-identical for ANY thread count (enforced by tests).
-  // A malformed HSR_BENCH_THREADS value REJECTS the run: generate_dataset
+  // Worker threads for flow simulation. 0 = std::thread::hardware_concurrency();
+  // 1 = fully sequential (the legacy single-threaded path). Every flow is an
+  // independent, fork-seeded simulation whose record lands in a pre-sized
+  // slot, so the result is byte-identical for ANY thread count (enforced by
+  // tests). A count above kMaxBenchThreads REJECTS the run: generate_dataset
   // returns immediately with config_status set and zero flows.
   unsigned threads = 0;
 
@@ -109,12 +108,9 @@ class DatasetPlan {
   double duration_max_s_ = 0.0;
 };
 
-// Strict parser for the HSR_BENCH_THREADS environment knob: accepts only a
-// plain decimal in [1, kMaxBenchThreads]; anything else (empty, non-numeric,
-// trailing garbage, zero, absurd counts) is an InvalidArgument naming the
-// offending text. Exposed for tests and bench binaries.
+// The largest worker count a campaign accepts (DatasetSpec::threads, the
+// tools' --threads and the benches' HSR_BENCH_THREADS knob).
 inline constexpr unsigned kMaxBenchThreads = 512;
-[[nodiscard]] util::StatusOr<unsigned> parse_bench_threads(const char* text);
 
 struct FlowRecord {
   std::string provider;   // short provider name ("China Mobile", ...)
@@ -165,8 +161,8 @@ struct DatasetResult {
   // completed; failures are quarantined here with their diagnostics. An
   // empty list means the campaign was complete.
   std::vector<QuarantinedFlow> quarantined;
-  // Spec/environment rejection (e.g. malformed HSR_BENCH_THREADS). When not
-  // OK the simulate phase never ran and `flows` is empty.
+  // Spec rejection (e.g. an absurd thread count). When not OK the simulate
+  // phase never ran and `flows` is empty.
   util::Status config_status;
 
   [[nodiscard]] bool complete() const { return config_status.is_ok() && quarantined.empty(); }
@@ -193,7 +189,8 @@ DatasetResult generate_dataset(const DatasetSpec& spec);
 // --- Streaming generation (bounded memory, crash-safe, resumable) ------------
 
 struct StreamingDatasetOptions {
-  // Final corpus file (hsrtrace-b2). Written atomically by the merge step.
+  // Final corpus file (hsrtrace-b2). Written atomically by the merge step;
+  // an existing file is replaced, an existing directory refused up front.
   std::string corpus_path;
   // Work directory holding committed chunk files and the campaign manifest
   // while the run is in flight; "" = "<corpus_path>.work". A fresh run wipes
@@ -223,8 +220,9 @@ struct StreamingDatasetOptions {
 struct StreamingDatasetResult {
   analysis::CorpusStats stats;
   std::vector<QuarantinedFlow> quarantined;  // flow-index order
-  // Spec/environment rejection (same contract as DatasetResult); also a
-  // resume whose manifest was written under a different spec digest.
+  // Spec rejection (same contract as DatasetResult); also a corpus_path
+  // that names a directory, or a resume whose manifest was written under a
+  // different spec digest.
   util::Status config_status;
   // First chunk/manifest/merge I/O failure. When not OK the corpus file was
   // not produced — but every chunk committed before the failure is durable

@@ -26,8 +26,8 @@ struct FlowRunConfig {
   Duration duration = Duration::seconds(60);
   std::uint64_t seed = 1;
   // TCP knobs (protocol-level, independent of the provider) — the shared
-  // one-source-of-truth struct also carried by MultiFlowSpec senders, MPTCP
-  // subflow setup and hsrfaultplan-v2 parameter blocks.
+  // one-source-of-truth struct also carried by MultiFlowSpec senders and
+  // MPTCP subflow setup.
   tcp::TcpOptions tcp;
 
   // Scripted fault plans, one per direction, layered as decorators over the

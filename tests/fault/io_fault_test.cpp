@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "analysis/corpus_stats.h"
-#include "fault/fault.h"
-#include "fault/plan_io.h"
 #include "trace/capture.h"
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
@@ -195,8 +193,6 @@ TEST_P(SeamWriterSurvivalTest, PreexistingFilesSurviveEveryFailedSave) {
   const IoOutcome outcome = GetParam();
 
   const trace::FlowCapture capture = survival_capture();
-  FaultPlan fault_plan;
-  fault_plan.drop_retransmissions(2, "survival");
   analysis::CorpusStats stats;
 
   // Parameter instances run as concurrent ctest processes in one working
@@ -214,10 +210,6 @@ TEST_P(SeamWriterSurvivalTest, PreexistingFilesSurviveEveryFailedSave) {
       {tag + "capture.hsrb",
        [&](util::Fs& f) {
          return trace::save_capture_archive(f, tag + "capture.hsrb", {capture});
-       }},
-      {tag + "plan.txt",
-       [&](util::Fs& f) {
-         return save_plan_file(f, tag + "plan.txt", PlanFile{fault_plan, std::nullopt});
        }},
       {tag + "stats.txt",
        [&](util::Fs& f) { return analysis::save_corpus_stats(f, tag + "stats.txt", stats); }},

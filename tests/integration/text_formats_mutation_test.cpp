@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "analysis/corpus_stats.h"
+#include "fault/fault.h"
 #include "fault/io_fault.h"
-#include "fault/plan_io.h"
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
 #include "workload/manifest.h"
@@ -37,10 +37,8 @@ constexpr char kTrace[] =
     "F D 2000 2 2 D 4 X 0 blackout\n"
     "F A 36000 6 2 A 1 L 40000000 ack-delay\n";
 
-// A v2 plan whose P line carries the optional <cc> <adaptive_delack> pair.
 constexpr char kPlan[] =
-    "hsrfaultplan-v2 directives=2 params=1\n"
-    "P 1e+07 20000000 64 2.5e+06 20000000 32 1400 2 200000000 64 1 0 1 1\n"
+    "hsrfaultplan-v1 directives=2\n"
     "X D 2000000000 2250000000 0 * 0 * 0 1 blackout\n"
     "L * 0 * 5 100 1 3 40000000 1 delay\n";
 
@@ -104,14 +102,7 @@ std::vector<TextFormat> formats() {
          return os.str();
        }},
       {"hsrfaultplan", kPlan,
-       [](const std::string& text) -> util::StatusOr<std::string> {
-         std::istringstream is(text);
-         const auto file = fault::read_plan_file(is);
-         if (!file.is_ok()) return file.status();
-         std::ostringstream os;
-         fault::write_plan_file(os, file.value());
-         return os.str();
-       }},
+       [](const std::string& text) { return text_of(fault::FaultPlan::parse(text)); }},
       {"hsriofaultplan", kIoPlan,
        [](const std::string& text) { return text_of(fault::IoFaultPlan::parse(text)); }},
       {"hsrmanifest", kManifest,
@@ -208,7 +199,7 @@ TEST(TextLoadersTest, DirectoryIsAReadError) {
       {"load_flow_capture", trace::load_flow_capture(dir).status()},
       {"load_flow_capture_any", trace::load_flow_capture_any(dir).status()},
       {"verify_trace_file", trace::verify_trace_file(dir).status()},
-      {"load_plan_file", fault::load_plan_file(dir).status()},
+      {"FaultPlan::load", fault::FaultPlan::load(dir).status()},
       {"IoFaultPlan::load", fault::IoFaultPlan::load(dir).status()},
       {"load_campaign_manifest", workload::load_campaign_manifest(dir).status()},
       {"load_corpus_stats", analysis::load_corpus_stats(dir).status()},

@@ -1,6 +1,5 @@
 // TcpOptions — the shared protocol-knob struct every configuration surface
-// carries — and its expansion into / extraction from the stack-level
-// TcpConfig.
+// carries — and its expansion into the stack-level TcpConfig.
 #include "tcp/types.h"
 
 #include <gtest/gtest.h>
@@ -45,14 +44,6 @@ TEST(TcpOptionsTest, MakeTcpConfigSetsEveryKnobAndTheWindow) {
   EXPECT_EQ(c.receiver_window, 96u);
   // Everything outside the options keeps its TcpConfig default.
   EXPECT_EQ(c.total_segments, TcpConfig{}.total_segments);
-}
-
-TEST(TcpOptionsTest, OptionsOfInvertsMakeTcpConfig) {
-  const TcpOptions o = sample_options();
-  EXPECT_EQ(options_of(make_tcp_config(o, 64)), o);
-  const TcpOptions defaults;
-  EXPECT_EQ(options_of(make_tcp_config(defaults, 64)), defaults);
-  EXPECT_FALSE(o == defaults);
 }
 
 }  // namespace

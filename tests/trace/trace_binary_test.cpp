@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <ios>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 
 #include "radio/profiles.h"
 #include "trace/trace_io.h"
@@ -225,6 +229,57 @@ TEST(TraceBinaryTest, BadMagicIsInvalidArgument) {
   std::istringstream in("hsrtrace-XX\n........");
   const auto corpus = read_binary_corpus(in);
   ASSERT_FALSE(corpus.is_ok());
+}
+
+// A directory opens as a stream, but every read of it fails: that is a read
+// error, not a stream with a bad magic.
+TEST(TraceBinaryTest, DirectoryStreamIsAReadError) {
+  const std::string dir = testing::TempDir() + "trace_binary_test_dir";
+  std::filesystem::create_directories(dir);
+  std::ifstream in(dir, std::ios::binary);
+  const bool opened = in.is_open();
+  const auto corpus = read_binary_corpus(in);
+  std::filesystem::remove(dir);
+  ASSERT_TRUE(opened);
+  ASSERT_FALSE(corpus.is_ok());
+  EXPECT_EQ(corpus.status().code(), util::StatusCode::kInternal);
+  EXPECT_EQ(corpus.status().message(), "read failed");
+}
+
+// A stream buffer whose device fails once its bytes are consumed, the way
+// std::filebuf reports a failed read(2): the throw sets the stream's badbit.
+class FailingReadBuf : public std::streambuf {
+ public:
+  explicit FailingReadBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ protected:
+  int_type underflow() override { throw std::ios_base::failure("device error"); }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(TraceBinaryTest, FailedReadMidStreamIsNeitherAnEndNorATornTail) {
+  const FlowCapture cap = sample_capture();
+  std::ostringstream os;
+  write_binary_trace_header(os, 2);
+  write_flow_frame(os, cap, 0);
+  const std::size_t second_frame_begins = os.str().size();
+  write_flow_frame(os, cap, 1);
+  const std::string full = os.str();
+  // The read fails at a frame boundary, inside a frame header and inside a
+  // payload.
+  for (const std::size_t cut :
+       {second_frame_begins, second_frame_begins + 5, full.size() - 3}) {
+    FailingReadBuf buf(full.substr(0, cut));
+    std::istream in(&buf);
+    const auto corpus = read_binary_corpus(in);
+    ASSERT_FALSE(corpus.is_ok()) << "cut=" << cut;
+    EXPECT_EQ(corpus.status().code(), util::StatusCode::kInternal) << "cut=" << cut;
+    EXPECT_EQ(corpus.status().message(), "read failed") << "cut=" << cut;
+  }
 }
 
 TEST(TraceBinaryTest, UnknownFrameTypesAreSkipped) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -85,60 +84,6 @@ TEST(GenerateDatasetTest, HighSpeedWorseThanStationary) {
   const auto h = ds.corpus.headline();
   EXPECT_GT(h.mean_ack_loss_highspeed, h.mean_ack_loss_stationary);
   EXPECT_GT(h.mean_recovery_s_highspeed, h.mean_recovery_s_stationary);
-}
-
-// --- HSR_BENCH_THREADS parsing ------------------------------------------------
-
-TEST(ParseBenchThreadsTest, AcceptsPlainDecimal) {
-  auto one = parse_bench_threads("1");
-  ASSERT_TRUE(one.is_ok());
-  EXPECT_EQ(one.value(), 1u);
-  auto many = parse_bench_threads("12");
-  ASSERT_TRUE(many.is_ok());
-  EXPECT_EQ(many.value(), 12u);
-  auto cap = parse_bench_threads("512");
-  ASSERT_TRUE(cap.is_ok());
-  EXPECT_EQ(cap.value(), kMaxBenchThreads);
-}
-
-TEST(ParseBenchThreadsTest, RejectsGarbageZeroAndAbsurd) {
-  for (const char* bad : {"", "abc", "12abc", " 12", "-3", "0", "513", "1e3", "0x10"}) {
-    auto parsed = parse_bench_threads(bad);
-    EXPECT_FALSE(parsed.is_ok()) << "'" << bad << "' should be rejected";
-    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
-    // The diagnostic names the knob so the failure is actionable.
-    EXPECT_NE(parsed.status().message().find("HSR_BENCH_THREADS"), std::string::npos);
-  }
-  auto null_text = parse_bench_threads(nullptr);
-  EXPECT_FALSE(null_text.is_ok());
-}
-
-TEST(GenerateDatasetTest, RejectsMalformedBenchThreadsEnv) {
-  ASSERT_EQ(setenv("HSR_BENCH_THREADS", "lots", 1), 0);
-  DatasetSpec spec = DatasetSpec::paper_table1(0.02);
-  spec.threads = 0;  // defer to the env knob
-  const DatasetResult ds = generate_dataset(spec);
-  unsetenv("HSR_BENCH_THREADS");
-
-  // A true reject: no silent fallback, no flows simulated.
-  EXPECT_FALSE(ds.config_status.is_ok());
-  EXPECT_EQ(ds.config_status.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_TRUE(ds.flows.empty());
-  EXPECT_FALSE(ds.complete());
-}
-
-TEST(GenerateDatasetTest, ExplicitThreadCountIgnoresBrokenEnv) {
-  ASSERT_EQ(setenv("HSR_BENCH_THREADS", "lots", 1), 0);
-  DatasetSpec spec = DatasetSpec::paper_table1(0.02);
-  spec.campaigns.resize(1);
-  spec.stationary_flows_per_provider = 1;
-  spec.flow_duration_min = util::Duration::seconds(5);
-  spec.flow_duration_max = util::Duration::seconds(8);
-  spec.threads = 2;  // explicit request: env not consulted
-  const DatasetResult ds = generate_dataset(spec);
-  unsetenv("HSR_BENCH_THREADS");
-  EXPECT_TRUE(ds.config_status.is_ok());
-  EXPECT_FALSE(ds.flows.empty());
 }
 
 TEST(GenerateDatasetTest, RejectsThreadCountAboveTheBenchCap) {

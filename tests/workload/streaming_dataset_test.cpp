@@ -186,6 +186,24 @@ TEST(StreamingDatasetTest, MissingCorpusPathIsRejectedUpFront) {
   EXPECT_EQ(run.flows_completed, 0u);
 }
 
+// A directory as the corpus path would only fail at the merge's final
+// rename; it is refused before the work dir exists or any flow runs.
+TEST(StreamingDatasetTest, DirectoryCorpusPathIsRejectedUpFront) {
+  const std::string dir = unique_corpus_path("directory");
+  fs::create_directories(dir);
+  StreamingDatasetOptions options;
+  options.corpus_path = dir;
+  const StreamingDatasetResult run = generate_dataset_streaming(small_spec(), options);
+  const bool work_dir_created = fs::exists(dir + ".work");
+  fs::remove_all(dir);
+  fs::remove_all(dir + ".work");
+  EXPECT_EQ(run.config_status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(run.config_status.message().find("not a regular file"), std::string::npos)
+      << run.config_status.to_string();
+  EXPECT_EQ(run.flows_completed, 0u);
+  EXPECT_FALSE(work_dir_created);
+}
+
 TEST(StreamingDatasetTest, EnospcInterruptThenResumeIsByteIdentical) {
   DatasetSpec spec = small_spec();
 

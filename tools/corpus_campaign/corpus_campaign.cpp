@@ -178,6 +178,14 @@ int main(int argc, char** argv) {
     options.fs = faulty_fs.get();
   }
   hsr::util::Fs& fs = options.fs != nullptr ? *options.fs : hsr::util::Fs::real();
+  // The stats save comes after the whole campaign: refuse a directory now.
+  if (!stats_path.empty() && fs.exists(stats_path)) {
+    const auto size = fs.file_size(stats_path);
+    if (!size.is_ok()) {
+      std::cerr << "stats-out: not a regular file: " << size.status().message() << '\n';
+      return 2;
+    }
+  }
 
   const auto result = hsr::workload::generate_dataset_streaming(spec, options);
 

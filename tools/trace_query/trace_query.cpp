@@ -25,25 +25,21 @@
 //   --duration <s>       simulated seconds (default 65)
 //   --save <file>        write the capture archive ("hsrtrace-v2")
 // The replay path is deliberately RNG-free: perfect organic channels plus
-// deterministic scripted faults, so the same plan files always reproduce the
-// same capture byte for byte. Plans with an "hsrfaultplan-v2" parameter
-// block replay over THEIR archived link/TCP topology (downlink plan's block
-// wins if both carry one); parameterless v1 plans fall back to the fixed
-// EXPERIMENTS.md recipe config (10 Mbit/s, 20 ms one-way).
+// deterministic scripted faults over the fixed EXPERIMENTS.md recipe
+// topology (10 Mbit/s, 20 ms one-way), so the same hsrfaultplan-v1 files
+// always reproduce the same capture byte for byte.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/flow_analysis.h"
 #include "fault/fault.h"
-#include "fault/plan_io.h"
 #include "net/channel.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -312,37 +308,20 @@ struct ReplayOptions {
 
 // Re-runs an archived experiment from its plan files: perfect organic
 // channels decorated with the parsed FaultPlans. No RNG anywhere, so the
-// capture depends only on the plans, the duration, and the parameter block.
-hsr::trace::FlowCapture replay(
-    const hsr::fault::FaultPlan& down, const hsr::fault::FaultPlan& up,
-    double duration_s,
-    const std::optional<hsr::fault::ReplayParams>& params = std::nullopt) {
+// capture depends only on the plans and the duration.
+hsr::trace::FlowCapture replay(const hsr::fault::FaultPlan& down,
+                               const hsr::fault::FaultPlan& up, double duration_s) {
   hsr::net::reset_packet_ids();
   hsr::sim::Simulator sim;
   hsr::trace::FlowCapture capture;
   capture.flow = 1;
 
+  // The EXPERIMENTS.md scripted-fault path: 10 Mbit/s, 20 ms one-way.
   hsr::tcp::ConnectionConfig cfg;
-  if (params.has_value()) {
-    // v2 plans carry the archived experiment's own topology.
-    cfg.downlink.rate_bps = params->down_rate_bps;
-    cfg.downlink.prop_delay = Duration::nanos(params->down_delay_ns);
-    cfg.downlink.queue_capacity = static_cast<std::size_t>(params->down_queue);
-    cfg.uplink.rate_bps = params->up_rate_bps;
-    cfg.uplink.prop_delay = Duration::nanos(params->up_delay_ns);
-    cfg.uplink.queue_capacity = static_cast<std::size_t>(params->up_queue);
-    hsr::tcp::TcpOptions opts = params->tcp;
-    // A zero min_rto means the plan predates recording it — keep the
-    // stack's own default rather than clamping RTO to zero.
-    if (opts.min_rto.ns() <= 0) opts.min_rto = cfg.tcp.rto.min_rto;
-    cfg.tcp = hsr::tcp::make_tcp_config(opts, params->receiver_window);
-  } else {
-    // The EXPERIMENTS.md scripted-fault path: 10 Mbit/s, 20 ms one-way.
-    cfg.downlink.rate_bps = 10e6;
-    cfg.downlink.prop_delay = Duration::millis(20);
-    cfg.uplink.rate_bps = 10e6;
-    cfg.uplink.prop_delay = Duration::millis(20);
-  }
+  cfg.downlink.rate_bps = 10e6;
+  cfg.downlink.prop_delay = Duration::millis(20);
+  cfg.uplink.rate_bps = 10e6;
+  cfg.uplink.prop_delay = Duration::millis(20);
 
   std::unique_ptr<hsr::net::ChannelModel> down_channel =
       std::make_unique<hsr::net::PerfectChannel>();
@@ -369,35 +348,28 @@ hsr::trace::FlowCapture replay(
 int run_replay(const ReplayOptions& opts, std::ostream& os) {
   hsr::fault::FaultPlan down;
   hsr::fault::FaultPlan up;
-  std::optional<hsr::fault::ReplayParams> params;
   if (!opts.down_plan_path.empty()) {
-    auto parsed = hsr::fault::load_plan_file(opts.down_plan_path);
+    auto parsed = hsr::fault::FaultPlan::load(opts.down_plan_path);
     if (!parsed.is_ok()) {
       std::cerr << "down-plan: " << parsed.status().to_string() << '\n';
       return 1;
     }
-    down = std::move(parsed.value().plan);
-    params = parsed.value().params;
+    down = std::move(parsed.value());
   }
   if (!opts.up_plan_path.empty()) {
-    auto parsed = hsr::fault::load_plan_file(opts.up_plan_path);
+    auto parsed = hsr::fault::FaultPlan::load(opts.up_plan_path);
     if (!parsed.is_ok()) {
       std::cerr << "up-plan: " << parsed.status().to_string() << '\n';
       return 1;
     }
-    up = std::move(parsed.value().plan);
-    // The downlink plan's parameter block wins when both carry one.
-    if (!params.has_value()) params = parsed.value().params;
+    up = std::move(parsed.value());
   }
   if (down.empty() && up.empty()) {
     std::cerr << "replay: need --down-plan and/or --up-plan\n";
     return 2;
   }
-  if (params.has_value()) {
-    os << "replaying with archived v2 parameters\n";
-  }
 
-  const hsr::trace::FlowCapture capture = replay(down, up, opts.duration_s, params);
+  const hsr::trace::FlowCapture capture = replay(down, up, opts.duration_s);
   if (!opts.save_path.empty()) {
     const auto saved = hsr::trace::save_flow_capture(opts.save_path, capture);
     if (!saved.is_ok()) {
@@ -573,40 +545,6 @@ int run_selftest() {
       return 1;
     }
     (void)fs.remove_file(scratch);
-  }
-
-  // v2 plan files: the parameter block must round-trip and steer the replay.
-  {
-    hsr::fault::PlanFile file;
-    file.plan = down;
-    hsr::fault::ReplayParams params;
-    params.down_rate_bps = 2e6;
-    params.down_delay_ns = Duration::millis(20).ns();
-    params.up_rate_bps = 2e6;
-    params.up_delay_ns = Duration::millis(20).ns();
-    file.params = params;
-    std::ostringstream plan_os;
-    hsr::fault::write_plan_file(plan_os, file);
-    std::istringstream plan_is(plan_os.str());
-    const auto reread = hsr::fault::read_plan_file(plan_is);
-    if (!reread.is_ok() || !reread.value().params.has_value() ||
-        !(reread.value().params.value() == params) ||
-        !(reread.value().plan == down)) {
-      std::cerr << "selftest: v2 plan round-trip failed\n";
-      return 1;
-    }
-    std::istringstream plan_is2(plan_os.str());
-    if (!hsr::fault::read_fault_plan(plan_is2).is_ok()) {
-      std::cerr << "selftest: legacy reader rejected a v2 plan\n";
-      return 1;
-    }
-    const hsr::trace::FlowCapture slow = replay(down, FaultPlan{}, 10.0, params);
-    std::ostringstream slow_text;
-    hsr::trace::write_flow_capture(slow_text, slow);
-    if (slow_text.str() == sa.str()) {
-      std::cerr << "selftest: v2 parameters did not change the replay\n";
-      return 1;
-    }
   }
 
   std::cout << "trace_query selftest ok (" << cap.data.sent_count()
