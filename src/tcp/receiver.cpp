@@ -19,25 +19,10 @@ TcpReceiver::TcpReceiver(sim::Simulator& sim, TcpConfig config, FlowId flow,
   HSR_CHECK(cfg_.delayed_ack_b >= 1);
 }
 
-void TcpReceiver::reserve_for(Duration duration, double data_rate_bps) {
-  if (duration <= Duration::zero() || data_rate_bps <= 0.0 ||
-      cfg_.mss_bytes == 0) {
-    return;
-  }
-  const double segments = duration.to_seconds() * data_rate_bps /
-                          (8.0 * static_cast<double>(cfg_.mss_bytes));
-  constexpr std::size_t kMax = std::size_t{1} << 20;
-  const std::size_t expected =
-      segments >= static_cast<double>(kMax)
-          ? kMax
-          : std::max<std::size_t>(1024, static_cast<std::size_t>(segments));
-  delivery_times_.reserve(expected);
-}
-
 // HSR_HOT_PATH_BEGIN — per-segment delivery region: on_data, the delayed-ACK
 // decision and ACK emission run for every arriving segment and must not
 // allocate (the reassembly scoreboard is flat, the SACK blocks are written
-// into the packet's fixed array, and delivery_times_ is pre-sized).
+// into the packet's fixed array).
 
 void TcpReceiver::on_data(const net::Packet& packet) {
   HSR_CHECK(packet.kind == net::PacketKind::kData);
@@ -55,7 +40,6 @@ void TcpReceiver::on_data(const net::Packet& packet) {
 
   if (seq == rcv_next_) {
     ++stats_.unique_segments;
-    delivery_times_.push_back(sim_.now());  // hsr-lint-ok: pre-sized by reserve_for; amortized growth past the estimate
     ++rcv_next_;
     // Drain any contiguous out-of-order segments, then advance the
     // scoreboard floor past everything consumed (the amortized O(1)
@@ -69,7 +53,6 @@ void TcpReceiver::on_data(const net::Packet& packet) {
     // Above rcv_next_: a hole exists. Buffer and send an immediate
     // duplicate ACK to trigger fast retransmit at the sender.
     ++stats_.unique_segments;
-    delivery_times_.push_back(sim_.now());  // hsr-lint-ok: pre-sized by reserve_for; amortized growth past the estimate
     out_of_order_.mark(seq);
     if (cfg_.adaptive_delack) quickack_budget_ = cfg_.quickack_segments;
     send_ack_now();

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -495,29 +496,34 @@ StreamingDatasetResult generate_dataset_streaming(
     if (!committed[ci]) pending.push_back(ci);
   }
 
-  std::mutex io_mu;
+  // Claims come off both ends of the unclaimed range pending[lo, hi): front
+  // lanes take pending[lo], back lanes pending[hi - 1]. The plan puts the
+  // stationary controls last, and their chunk is the campaign's heaviest,
+  // so the back lanes start it first instead of last (DESIGN.md §6k).
+  std::mutex claim_mu;  // guards lo, hi, io_failed and out.io_status
+  std::size_t lo = 0;
+  std::size_t hi = pending.size();
   bool io_failed = false;
   const auto record_io_failure = [&](util::Status status) {
-    const std::lock_guard<std::mutex> lock(io_mu);
+    const std::lock_guard<std::mutex> lock(claim_mu);
     if (!io_failed) {
       io_failed = true;
       out.io_status = std::move(status);
     }
   };
+  const auto claim = [&](bool from_back) -> std::optional<std::uint64_t> {
+    const std::lock_guard<std::mutex> lock(claim_mu);
+    if (io_failed || lo == hi) return std::nullopt;  // sick disk: stop claiming
+    return from_back ? pending[--hi] : pending[lo++];
+  };
   std::mutex manifest_mu;
 
-  // Worker loop: one CLAIM is one chunk. The worker simulates the chunk's
-  // flows in index order, appending each 'F' capture (freed immediately)
-  // plus its 'S' stats sidecar — or a 'Q' record — then commits the chunk
-  // atomically and checkpoints the manifest. A chunk's bytes are a pure
-  // function of (spec, chunk index): thread count only decides who runs it.
-  util::ThreadPool pool(threads.value());
-  pool.parallel_for(pending.size(), [&](std::uint64_t pi) {
-    {
-      const std::lock_guard<std::mutex> lock(io_mu);
-      if (io_failed) return;  // disk is sick; stop claiming work
-    }
-    const std::uint64_t ci = pending[pi];
+  // One chunk: simulate its flows in index order, appending each 'F'
+  // capture (freed immediately) plus its 'S' stats sidecar — or a 'Q'
+  // record — then commit the chunk atomically and checkpoint the manifest.
+  // A chunk's bytes are a pure function of (spec, chunk index): the lanes
+  // only decide who runs it and when.
+  const auto run_chunk = [&](std::uint64_t ci) {
     const std::uint64_t first = ci * chunk_flows;
     const std::uint64_t count = std::min(chunk_flows, n - first);
 
@@ -576,6 +582,14 @@ StreamingDatasetResult generate_dataset_streaming(
                                          info.value().crc32c});
     util::Status saved = save_campaign_manifest(fs, manifest_path, manifest);
     if (!saved.is_ok()) record_io_failure(std::move(saved));
+  };
+
+  // One lane per worker: even lanes work the front, odd lanes the back, and
+  // each stays on its end until the ends meet. With one worker the single
+  // front lane is plain index order.
+  util::ThreadPool pool(threads.value());
+  pool.parallel_for(pool.thread_count(), [&](std::uint64_t lane) {
+    while (const std::optional<std::uint64_t> ci = claim(lane % 2 == 1)) run_chunk(*ci);
   });
 
   if (!out.io_status.is_ok()) return out;  // chunks + manifest left for resume

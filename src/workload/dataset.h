@@ -245,7 +245,10 @@ struct StreamingDatasetResult {
 // crash-safe: the flow range is partitioned into chunks, each worker runs a
 // chunk at a time and commits it as its own hsrtrace-b2 file (tmp + fsync +
 // atomic rename) with per-flow 'S' stats-sample sidecar frames, and the
-// manifest is atomically rewritten after every commit. The final merge
+// manifest is atomically rewritten after every commit. Workers claim chunks
+// from both ends of the plan (even workers the lowest pending chunk, odd
+// workers the highest), so the heavy stationary tail starts first; with one
+// thread the order is plain index order. The final merge
 // concatenates chunks in index order, strips the sidecars while absorbing
 // them into `stats` in strict flow order, and re-stamps frame sequence
 // numbers — so corpus bytes AND stats.to_text() are byte-identical for any

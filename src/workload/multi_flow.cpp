@@ -154,11 +154,10 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     stacks[i].sender =
         std::make_unique<tcp::TcpSender>(sim, tcfg, flow, std::move(data_tx));
 
-    // Pre-size the endpoints' diagnostic series for this flow's fair share
-    // of the bottleneck — same contract as the capture reserve above: no
-    // vector growth once the flow reaches steady state.
+    // Pre-size the sender's diagnostic series for this flow's fair share of
+    // the bottleneck — same contract as the capture reserve above: no vector
+    // growth once the flow reaches steady state.
     stacks[i].sender->reserve_for(spec.duration, share);
-    stacks[i].receiver->reserve_for(spec.duration, share);
 
     // The flow's endpoints. The closures must stay inside the Receiver SBO:
     // a heap fallback here would put an allocation on every delivery.
@@ -239,8 +238,6 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     f.sender_stats = stacks[i].sender->stats();
     f.receiver_stats = stacks[i].receiver->stats();
     f.events = stacks[i].sender->events();
-    f.cwnd_trace = stacks[i].sender->cwnd_trace();
-    f.delivery_times = stacks[i].receiver->delivery_times();
     // Application goodput over [0, now] — same definition as the single-flow
     // path, and the numerator the fairness shares are computed from.
     HSR_DCHECK_MSG(f.receiver_stats.unique_segments <= f.sender_stats.segments_sent,

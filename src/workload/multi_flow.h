@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -91,8 +90,6 @@ struct MultiFlowFlowResult {
   tcp::SenderStats sender_stats;
   tcp::ReceiverStats receiver_stats;
   std::vector<tcp::SenderEvent> events;
-  std::vector<std::pair<TimePoint, double>> cwnd_trace;
-  std::vector<TimePoint> delivery_times;
   double goodput_pps = 0.0;
   double goodput_bps = 0.0;
   std::uint64_t bytes_captured = 0;

@@ -41,8 +41,6 @@ FlowRunResult run_flow(const FlowRunConfig& cfg) {
   out.sender_stats = f.sender_stats;
   out.receiver_stats = f.receiver_stats;
   out.events = std::move(f.events);
-  out.cwnd_trace = std::move(f.cwnd_trace);
-  out.delivery_times = std::move(f.delivery_times);
   out.duration = cfg.duration;
   out.goodput_pps = f.goodput_pps;
   out.goodput_bps = f.goodput_bps;

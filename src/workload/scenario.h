@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -57,8 +56,6 @@ struct FlowRunResult {
   tcp::SenderStats sender_stats;
   tcp::ReceiverStats receiver_stats;
   std::vector<tcp::SenderEvent> events;
-  std::vector<std::pair<TimePoint, double>> cwnd_trace;
-  std::vector<TimePoint> delivery_times;
 
   Duration duration;
   double goodput_pps = 0.0;

@@ -122,16 +122,6 @@ TEST_F(ReceiverFixture, StatsTrackHighestContiguous) {
   EXPECT_EQ(rcv.stats().acks_sent, 10u);
 }
 
-TEST_F(ReceiverFixture, DeliveryTimesRecordedPerUniqueSegment) {
-  TcpConfig cfg;
-  cfg.delayed_ack_b = 1;
-  TcpReceiver rcv = make_receiver(cfg);
-  rcv.on_data(data(1));
-  rcv.on_data(data(1));  // duplicate: no new delivery time
-  rcv.on_data(data(2));
-  EXPECT_EQ(rcv.delivery_times().size(), 2u);
-}
-
 TEST_F(ReceiverFixture, CumulativeAckAfterBDelayCoversBoth) {
   TcpConfig cfg;
   cfg.delayed_ack_b = 3;

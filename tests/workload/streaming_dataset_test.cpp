@@ -7,6 +7,7 @@
 // chunk.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -111,6 +113,81 @@ TEST(StreamingDatasetTest, CorpusAndDigestIdenticalAcrossThreadCounts) {
     EXPECT_EQ(read_file(path), reference_bytes) << "chunk_flows=" << chunk_flows;
     EXPECT_EQ(run.stats.to_text(), reference_digest) << "chunk_flows=" << chunk_flows;
     std::remove(path.c_str());
+  }
+}
+
+// Which worker ran each flow, and in which order the flows started.
+struct FlowRun {
+  std::thread::id worker;
+  std::uint64_t order = 0;
+};
+
+// Runs `spec` with one-flow chunks and records, per flow, the worker that
+// ran it and its start order. On two or more threads flow 0 waits until the
+// last flow has started, so the back of the plan cannot wait for the front.
+std::vector<FlowRun> record_flow_runs(DatasetSpec spec, const std::string& tag) {
+  const std::uint64_t n = DatasetPlan(spec).flow_count();
+  std::vector<FlowRun> runs(n);
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<bool> last_started{false};
+  const bool gate = spec.threads >= 2;
+  spec.configure_flow = [&](std::uint64_t i, FlowRunConfig&) {
+    runs[i] = FlowRun{std::this_thread::get_id(), started.fetch_add(1)};
+    if (i == n - 1) last_started.store(true);
+    while (gate && i == 0 && !last_started.load()) std::this_thread::yield();
+  };
+  const std::string path = unique_corpus_path(tag);
+  StreamingDatasetOptions options;
+  options.corpus_path = path;
+  options.chunk_flows = 1;
+  const StreamingDatasetResult run = generate_dataset_streaming(spec, options);
+  EXPECT_TRUE(run.complete()) << run.io_status.to_string();
+  std::remove(path.c_str());
+  return runs;
+}
+
+// True when `m` splits the workers: each one's flows lie all below m,
+// started in rising index order, or all at or above m, started in falling
+// index order.
+bool splits_workers(const std::vector<FlowRun>& runs, std::size_t m) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = i + 1; j < runs.size(); ++j) {
+      if (runs[i].worker != runs[j].worker) continue;
+      if ((i < m) != (j < m)) return false;
+      if ((runs[i].order < runs[j].order) != (j < m)) return false;
+    }
+  }
+  return true;
+}
+
+// Even lanes claim the lowest pending chunk and odd lanes the highest, and
+// a lane stays on its end until the ends meet. So whatever the timing, one
+// split separates the front workers from the back workers.
+TEST(StreamingDatasetTest, EachWorkerClaimsFromOneEnd) {
+  DatasetSpec spec = small_spec();
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    spec.threads = threads;
+    const std::vector<FlowRun> runs =
+        record_flow_runs(spec, "lanes_t" + std::to_string(threads));
+    const std::size_t n = runs.size();
+    bool split = false;
+    for (std::size_t m = 0; m <= n && !split; ++m) split = splits_workers(runs, m);
+    EXPECT_TRUE(split) << "a worker ran flows from both ends";
+    if (threads == 2) {
+      // The only front lane holds flow 0 until the last flow starts, so the
+      // back lane took the last flow before anyone reached flow 1.
+      EXPECT_LT(runs[n - 1].order, runs[1].order);
+      EXPECT_NE(runs[n - 1].worker, runs[0].worker);
+    }
+  }
+
+  // One worker: a single front lane, which is plain index order.
+  spec.threads = 1;
+  const std::vector<FlowRun> runs = record_flow_runs(spec, "lanes_t1");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].worker, runs[0].worker) << "flow " << i;
+    EXPECT_EQ(runs[i].order, i) << "flow " << i;
   }
 }
 
@@ -261,6 +338,73 @@ TEST(StreamingDatasetTest, EnospcInterruptThenResumeIsByteIdentical) {
   EXPECT_EQ(resumed.stats.to_text(), reference_digest);
   EXPECT_EQ(resumed.total_sim_events, reference.total_sim_events);
   EXPECT_FALSE(fs::exists(work_dir));  // cleaned up after the merge
+  std::remove(path.c_str());
+}
+
+// A 4-thread campaign runs out of disk in its middle chunk after its lanes
+// have started both ends, so the committed chunks sit on both sides of the
+// gap the resume fills. Resumed on 2 threads, it still reproduces an
+// uninterrupted 1-thread run byte for byte.
+TEST(StreamingDatasetTest, MultiWorkerInterruptResumesByteIdentical) {
+  DatasetSpec spec = small_spec();
+  spec.threads = 1;
+  const std::string ref_path = unique_corpus_path("gap_ref");
+  StreamingDatasetOptions ref_opts;
+  ref_opts.corpus_path = ref_path;
+  ref_opts.chunk_flows = 1;
+  const StreamingDatasetResult reference = generate_dataset_streaming(spec, ref_opts);
+  ASSERT_TRUE(reference.complete());
+  const std::string reference_bytes = read_file(ref_path);
+  std::remove(ref_path.c_str());
+
+  // The middle chunk's header fits on the disk and its flow frame does not.
+  // Its flow waits until both end flows have started, whichever lanes ran
+  // them, so both end chunks commit while the campaign stops claiming.
+  const std::uint64_t n = DatasetPlan(spec).flow_count();
+  const std::uint64_t mid = n / 2;
+  std::ostringstream header;
+  trace::write_binary_trace_header(header, trace::kUnknownFlowCount);
+  fault::IoFaultPlan plan;
+  plan.enospc_after(header.str().size(), "/chunk-" + std::to_string(mid) + ".hsrb",
+                    "test-enospc");
+  fault::FaultInjectingFs faulty(plan, util::Fs::real());
+  DatasetSpec gated = spec;
+  gated.threads = 4;
+  std::atomic<int> ends_started{0};
+  gated.configure_flow = [&](std::uint64_t i, FlowRunConfig&) {
+    if (i == 0 || i == n - 1) ends_started.fetch_add(1);
+    while (i == mid && ends_started.load() < 2) std::this_thread::yield();
+  };
+  const std::string path = unique_corpus_path("gap");
+  StreamingDatasetOptions opts;
+  opts.corpus_path = path;
+  opts.chunk_flows = 1;
+  opts.fs = &faulty;
+  const StreamingDatasetResult interrupted = generate_dataset_streaming(gated, opts);
+  ASSERT_TRUE(interrupted.config_status.is_ok());
+  EXPECT_EQ(interrupted.io_status.code(), util::StatusCode::kResourceExhausted)
+      << interrupted.io_status.to_string();
+  EXPECT_FALSE(fs::exists(path));
+
+  const auto manifest = load_campaign_manifest(path + ".work/manifest.hsrman");
+  ASSERT_TRUE(manifest.is_ok()) << manifest.status().to_string();
+  std::vector<bool> committed(n);
+  for (const ChunkEntry& entry : manifest.value().chunks) committed[entry.index] = true;
+  EXPECT_TRUE(committed.front());
+  EXPECT_TRUE(committed.back());
+  EXPECT_FALSE(committed[mid]);
+
+  spec.threads = 2;
+  StreamingDatasetOptions resume_opts = opts;
+  resume_opts.fs = nullptr;
+  resume_opts.resume = true;
+  const StreamingDatasetResult resumed = generate_dataset_streaming(spec, resume_opts);
+  ASSERT_TRUE(resumed.complete()) << resumed.config_status.to_string() << " / "
+                                  << resumed.io_status.to_string();
+  EXPECT_EQ(resumed.chunks_reused, manifest.value().chunks.size());
+  EXPECT_EQ(read_file(path), reference_bytes);
+  EXPECT_EQ(resumed.stats.to_text(), reference.stats.to_text());
+  EXPECT_EQ(resumed.total_sim_events, reference.total_sim_events);
   std::remove(path.c_str());
 }
 

@@ -27,7 +27,9 @@
 // status is non-zero when the campaign is incomplete (config rejection,
 // chunk/merge I/O failure, or any quarantined flow); on failure no partial
 // corpus or stats file appears under the output names.
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -47,7 +49,9 @@ int usage() {
                "                       [--duration S] [--threads K]\n"
                "                       [--stats-out FILE] [--seed X]\n"
                "                       [--chunk-flows C] [--work-dir DIR]\n"
-               "                       [--resume] [--io-fault PLAN]\n";
+               "                       [--resume] [--io-fault PLAN]\n"
+               "  N below 7 plans 7 flows: one per Table I campaign and one\n"
+               "  stationary control per provider.\n";
   return 2;
 }
 
@@ -57,10 +61,11 @@ using hsr::tools::kMaxFlagSeed;
 using hsr::tools::kMinFlagSeconds;
 using hsr::tools::parse_flag;
 
-// Shapes a DatasetSpec with exactly `flows` planned flows: the stationary
-// control corpus gets ~1/8 (at least one per provider), and the remainder is
-// split over the four Table I campaigns by largest-remainder apportionment
-// of the paper's 52:73:65:65 mix.
+// Shapes a DatasetSpec with `flows` planned flows, or 7 when `flows` is
+// below 7: the stationary control corpus gets ~1/8 (at least one per
+// provider), and the remainder is split over the four Table I campaigns
+// (at least one each) by largest-remainder apportionment of the paper's
+// 52:73:65:65 mix.
 hsr::workload::DatasetSpec shape_spec(std::uint64_t flows) {
   using hsr::workload::DatasetSpec;
   DatasetSpec spec = DatasetSpec::paper_table1(1.0);
@@ -91,6 +96,19 @@ hsr::workload::DatasetSpec shape_spec(std::uint64_t flows) {
   }
   spec.stationary_flows_per_provider = static_cast<unsigned>(stationary_pp);
   return spec;
+}
+
+// True when `dir` will be a directory once the campaign has started: it is
+// "" (the working directory), an existing directory, or an ancestor of
+// `work_dir`, which the campaign creates with every missing ancestor before
+// any flow runs.
+bool directory_ready(const std::filesystem::path& dir,
+                     const std::filesystem::path& work_dir) {
+  std::error_code ec;
+  if (dir.empty() || std::filesystem::is_directory(dir, ec)) return true;
+  const std::filesystem::path d = dir.lexically_normal();
+  const std::filesystem::path w = work_dir.lexically_normal();
+  return std::mismatch(d.begin(), d.end(), w.begin(), w.end()).first == d.end();
 }
 
 }  // namespace
@@ -151,6 +169,12 @@ int main(int argc, char** argv) {
   if (flows == 0 || out_path.empty()) return usage();
 
   hsr::workload::DatasetSpec spec = shape_spec(flows);
+  const std::uint64_t planned = hsr::workload::DatasetPlan(spec).flow_count();
+  if (planned != flows) {
+    std::cerr << "corpus_campaign: --flows " << flows << " plans " << planned
+              << " flows (one per Table I campaign and one stationary control per"
+                 " provider)\n";
+  }
   if (duration_s > 0.0) {
     spec.flow_duration_min = hsr::util::Duration::from_seconds(duration_s);
     spec.flow_duration_max = spec.flow_duration_min;
@@ -178,11 +202,21 @@ int main(int argc, char** argv) {
     options.fs = faulty_fs.get();
   }
   hsr::util::Fs& fs = options.fs != nullptr ? *options.fs : hsr::util::Fs::real();
-  // The stats save comes after the whole campaign: refuse a directory now.
-  if (!stats_path.empty() && fs.exists(stats_path)) {
-    const auto size = fs.file_size(stats_path);
-    if (!size.is_ok()) {
-      std::cerr << "stats-out: not a regular file: " << size.status().message() << '\n';
+  // The stats save comes after the whole campaign: refuse a directory, or a
+  // path whose parent will not be a directory by then, now.
+  if (!stats_path.empty()) {
+    if (fs.exists(stats_path)) {
+      const auto size = fs.file_size(stats_path);
+      if (!size.is_ok()) {
+        std::cerr << "stats-out: not a regular file: " << size.status().message()
+                  << '\n';
+        return 2;
+      }
+    }
+    const std::filesystem::path parent = std::filesystem::path(stats_path).parent_path();
+    if (!directory_ready(parent, work_dir.empty() ? out_path + ".work" : work_dir)) {
+      std::cerr << "stats-out: parent '" << parent.string()
+                << "' is not an existing directory\n";
       return 2;
     }
   }
