@@ -1,55 +1,67 @@
-// Canonical hot-path benchmark: the per-PR perf trajectory record.
+// Canonical hot-path benchmark: the per-PR perf trajectory record and the
+// project's one microbenchmark harness.
 //
 // Measures the simulation core's steady-state costs — event schedule/fire,
 // timer re-arm and timer arm/cancel (all in events or ops per second, with
 // allocations per operation counted by the alloc probe), an end-to-end
 // paper-scale flow (events/sec and flows/sec) and the §III flow analysis of
 // the lossy flow's capture (analyze_flow calls/sec and allocations per
-// call) — and emits a machine-readable bench_out/BENCH_hotpath.json in a
-// stable schema.
+// call) — and the unit costs a layer's per-flow counters multiply: a radio
+// drop-probability query, a Bernoulli draw, a packet through net::Link, a
+// SACK scoreboard rank query and one evaluation of each throughput model.
+// It emits a machine-readable bench_out/BENCH_hotpath.json in a stable
+// schema.
 //
 // Compare two runs with tools/bench_compare.py:
 //   ./bench_hotpath                 # full run, ~seconds
 //   ./bench_hotpath --quick         # CI smoke: small op counts, short flow
 //   python3 tools/bench_compare.py baseline.json current.json
 //
-// JSON schema (schema_version 5; v3 added the lossy-flow metrics — a
+// JSON schema (schema_version 6; v3 added the lossy-flow metrics — a
 // SACK-enabled flow under scripted burst loss — and made the flow
 // allocation ratios steady-state probe-window measurements, pinned at
 // exactly 0; v4 added analysis_flows_per_s and analysis_allocs_per_flow,
 // analysis::analyze_flow over the lossy flow's capture; v5 retired
 // reschedule_* and cancel_churn_*, whose queue APIs are gone, for
-// timer_rearm_* and timer_arm_cancel_*, sim::Timer driven by a 1 ms tick):
-// top-level run metadata, a flat
-// "metrics" object holding the best-of-N values, and a "spread" object
+// timer_rearm_* and timer_arm_cancel_*, sim::Timer driven by a 1 ms tick;
+// v6 added the unit costs radio_queries_per_s, rng_bernoulli_per_s,
+// link_packets_per_s with link_allocs_per_packet, scoreboard_rank_per_s,
+// padhye_evals_per_s and enhanced_evals_per_s): top-level run metadata, a
+// flat "metrics" object holding the best-of-N values, and a "spread" object
 // recording min/max/mean/stddev of every throughput metric across the N
-// reps. Keys ending in "_per_s" are throughputs (higher is better); keys
-// containing "allocs_per" are allocation ratios (lower is better; their
-// counts are deterministic, so they carry no spread entry). bench_compare.py
-// keys off these suffixes and widens its regression gate by the recorded
-// relative spread, so additions must follow the same naming convention.
+// reps (bench::Summary in bench/common.h). bench_compare.py keys off the
+// "_per_s" and "allocs_per" name suffixes and widens its regression gate
+// by the recorded relative spread, so additions must follow the same
+// naming convention.
 //
-// The binary exits 1 when a steady-state simulation "allocs_per" metric is
-// above 0 or analysis_allocs_per_flow is above 4: allocation counts are the
-// readings the host cannot move, so CI gates on them.
+// The binary exits 1 when a steady-state "allocs_per" metric is above 0 or
+// analysis_allocs_per_flow is above 4: allocation counts are the readings
+// the host cannot move, so CI gates on them.
 #define HSRTCP_ALLOC_PROBE_DEFINE_GLOBALS
 #include "util/alloc_probe.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstring>
-#include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/flow_analysis.h"
 #include "bench/common.h"
+#include "model/enhanced.h"
+#include "model/padhye.h"
+#include "net/link.h"
+#include "radio/environment.h"
 #include "radio/profiles.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
+#include "tcp/seq_window.h"
+#include "util/rng.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -68,28 +80,48 @@ constexpr double kMaxAnalysisAllocsPerFlow = 4.0;
 struct SectionResult {
   double ops_per_s = 0.0;
   double allocs_per_op = 0.0;
+
+  // The same reading per item, for calls that each handle `items`.
+  SectionResult per(double items) const { return {ops_per_s * items, allocs_per_op / items}; }
 };
 
 double ops_per_s(const SectionResult& r) { return r.ops_per_s; }
 
-// One pending event at a time: the pure schedule→fire cycle.
+// Keeps `value` observable: the optimizer can neither drop the call that
+// produced it nor, because the asm may change any memory it can reach,
+// hoist that call out of a timing loop. A pure call's inputs go through it
+// too, so they are not compile-time constants.
+template <class T>
+void keep(const T& value) {
+  if constexpr (std::is_trivially_copyable_v<T> && sizeof(T) <= sizeof(void*)) {
+    asm volatile("" : : "r,m"(value) : "memory");
+  } else {
+    asm volatile("" : : "m"(value) : "memory");  // a register copy would copy the object
+  }
+}
+
+// `calls` calls of `call(i)` after `warmup` untimed ones: calls per second
+// and heap allocations per call, counted by the alloc probe.
+template <class Call>
+SectionResult time_calls(std::uint64_t warmup, std::uint64_t calls, Call call) {
+  for (std::uint64_t i = 0; i < warmup; ++i) call(i);
+  AllocProbe::Scope scope;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = warmup; i < warmup + calls; ++i) call(i);
+  const double wall = seconds_since(t0);
+  return {static_cast<double>(calls) / wall,
+          static_cast<double>(scope.news_delta()) / static_cast<double>(calls)};
+}
+
+// One pending event at a time: the pure schedule→fire cycle. The warm-up
+// covers slab growth.
 SectionResult bench_schedule_fire(std::uint64_t ops) {
   EventQueue q;
   std::uint64_t fired = 0;
-  auto cycle = [&](std::uint64_t i) {
+  return time_calls(1024, ops - 1024, [&](std::uint64_t i) {
     q.schedule(TimePoint::from_ns(static_cast<std::int64_t>(i)), [&fired] { ++fired; });
     q.pop_and_run();
-  };
-  for (std::uint64_t i = 0; i < 1024; ++i) cycle(i);  // warm-up: slab growth
-  AllocProbe::Scope scope;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 1024; i < ops; ++i) cycle(i);
-  const double wall = seconds_since(t0);
-  SectionResult r;
-  r.ops_per_s = static_cast<double>(ops - 1024) / wall;
-  r.allocs_per_op =
-      static_cast<double>(scope.news_delta()) / static_cast<double>(ops - 1024);
-  return r;
+  });
 }
 
 // Standing population of in-flight events (a busy link) with FIFO drain:
@@ -99,25 +131,14 @@ SectionResult bench_burst_fire(std::uint64_t ops) {
   EventQueue q;
   std::uint64_t fired = 0;
   std::int64_t stamp = 0;
-  auto burst = [&] {
+  const auto burst = [&](std::uint64_t) {
     for (std::uint64_t i = 0; i < kBatch; ++i) {
       q.schedule(TimePoint::from_ns(++stamp), [&fired] { ++fired; });
     }
     while (!q.empty()) q.pop_and_run();
   };
-  burst();  // warm-up
-  AllocProbe::Scope scope;
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t bursts = ops / kBatch;
-  for (std::uint64_t b = 0; b < bursts; ++b) burst();
-  const double wall = seconds_since(t0);
-  SectionResult r;
-  r.ops_per_s = static_cast<double>(bursts * kBatch) / wall;
-  r.allocs_per_op =
-      static_cast<double>(scope.news_delta()) / static_cast<double>(bursts * kBatch);
-  return r;
+  return time_calls(1, ops / kBatch, burst).per(kBatch);
 }
-
 // A tick event every simulated millisecond runs `on_tick` on one timer, the
 // way ACK arrivals drive TCP's timers; an op is one tick. The clock moves,
 // so the timer's wake-ups surface, re-post or retire inside the measured
@@ -225,21 +246,95 @@ FlowResult bench_lossy_flow(double sim_seconds, std::uint64_t seed) {
 
 // The §III flow analysis (analysis::analyze_flow) over one capture, called
 // `calls` times: whole-flow analyses per second, and heap allocations per
-// call counted by the alloc probe (a per-call constant for the flat
-// single-pass implementation, independent of the capture's length).
-SectionResult bench_analysis(const hsr::trace::FlowCapture& capture, int calls) {
-  double sink = hsr::analysis::analyze_flow(capture).goodput_pps;  // warm-up
-  AllocProbe::Scope scope;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < calls; ++i) {
-    sink += hsr::analysis::analyze_flow(capture).goodput_pps;
-  }
-  const double wall = seconds_since(t0);
-  SectionResult r;
-  r.ops_per_s = static_cast<double>(calls) / wall;
-  r.allocs_per_op = static_cast<double>(scope.news_delta()) / static_cast<double>(calls);
-  if (!std::isfinite(sink)) std::cout << "";  // keeps the calls observable
-  return r;
+// call (a per-call constant for the flat single-pass implementation,
+// independent of the capture's length).
+SectionResult bench_analysis(const hsr::trace::FlowCapture& capture, std::uint64_t calls) {
+  return time_calls(1, calls, [&](std::uint64_t) {
+    keep(hsr::analysis::analyze_flow(capture).goodput_pps);
+  });
+}
+
+// The radio layer's per-packet cost: one drop-probability query per
+// simulated millisecond on the Unicom high-speed profile.
+SectionResult bench_radio_queries(std::uint64_t ops) {
+  hsr::radio::RadioEnvironment env(hsr::radio::unicom_3g_highspeed().radio,
+                                   hsr::util::Rng(3));
+  return time_calls(1024, ops, [&](std::uint64_t i) {
+    keep(env.drop_probability(hsr::radio::Direction::kDownlink,
+                              TimePoint::zero() + Duration::millis(static_cast<std::int64_t>(i))));
+  });
+}
+
+// One 1 %-loss Bernoulli draw, the channel's per-packet coin.
+SectionResult bench_rng_bernoulli(std::uint64_t ops) {
+  hsr::util::Rng rng(42);
+  return time_calls(1024, ops, [&](std::uint64_t) { keep(rng.bernoulli(0.01)); });
+}
+
+// The link layer's per-packet cost: 1000-packet batches through one reused
+// net::Link with a 1 %-loss BernoulliChannel endpoint, each batch sent at
+// once and drained (DropTail queue, channel verdict, delivery event). Three
+// warm-up batches bring the event slab to its high-water mark, after which
+// a packet allocates nothing.
+SectionResult bench_link(std::uint64_t packets) {
+  constexpr std::uint64_t kBatch = 1000;
+  hsr::sim::Simulator sim;
+  hsr::net::LinkConfig cfg;
+  cfg.rate_bps = 100e6;
+  cfg.queue_capacity = 10000;
+  hsr::net::Link link(sim, cfg);
+  std::uint64_t delivered = 0;
+  link.register_endpoint(
+      0, std::make_unique<hsr::net::BernoulliChannel>(0.01, hsr::util::Rng(1)),
+      [&delivered](const hsr::net::Packet&) { ++delivered; });
+  const SectionResult r = time_calls(3, packets / kBatch, [&](std::uint64_t) {
+    for (std::uint64_t i = 0; i < kBatch; ++i) {
+      hsr::net::Packet p;
+      p.id = hsr::net::allocate_packet_id();
+      p.size_bytes = 1400;
+      link.send(std::move(p));
+    }
+    sim.run();
+  });
+  keep(delivered);
+  return r.per(kBatch);
+}
+
+// The SACK pipe estimate the sender runs on every ACK:
+// SeqScoreboard::rank_below over a 16,384-segment span with every other
+// sequence marked (a bitmap's worst case), queried just below the highest
+// mark so no early-out applies.
+SectionResult bench_scoreboard_rank(std::uint64_t ops) {
+  constexpr hsr::net::SeqNo kBase = 1'000'000;
+  constexpr hsr::net::SeqNo kSpan = 16'384;
+  hsr::tcp::SeqScoreboard board(kBase, 2 * kSpan);
+  for (hsr::net::SeqNo s = kBase + 1; s <= kBase + kSpan; s += 2) board.mark(s);
+  return time_calls(16, ops, [&](std::uint64_t) {
+    keep(board);
+    keep(board.rank_below(kBase + kSpan - 1));
+  });
+}
+
+// One evaluation of each throughput model at the same operating point.
+constexpr hsr::model::PathParams kModelPath{0.1, 0.5, 2.0, 256.0};
+
+SectionResult bench_padhye(std::uint64_t ops) {
+  hsr::model::PadhyeInputs in;
+  in.p = 0.0075;
+  in.path = kModelPath;
+  return time_calls(1024, ops, [&](std::uint64_t) {
+    keep(in);
+    keep(hsr::model::padhye_throughput_pps(in));
+  });
+}
+
+SectionResult bench_enhanced(std::uint64_t ops) {
+  hsr::model::EnhancedInputs in;  // p_d 0.0075, P_a 0.01, q 0.3
+  in.path = kModelPath;
+  return time_calls(1024, ops, [&](std::uint64_t) {
+    keep(in);
+    keep(hsr::model::enhanced_throughput_pps(in));
+  });
 }
 
 }  // namespace
@@ -255,6 +350,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const std::filesystem::path json_path = bench::out_dir() / "BENCH_hotpath.json";
   bench::header(quick ? "Simulation hot path (quick smoke)"
                       : "Simulation hot path");
 
@@ -262,116 +358,96 @@ int main(int argc, char** argv) {
   const double flow_secs = quick ? 30.0 : 300.0;
   const int reps = quick ? 1 : 3;
 
-  using bench::best_of;
-  const auto sf = best_of(reps, [&] { return bench_schedule_fire(ops); }, ops_per_s);
-  std::cout << "schedule+fire      " << sf.best.ops_per_s << " events/s  "
-            << sf.best.allocs_per_op << " allocs/event\n";
-  const auto bf = best_of(reps, [&] { return bench_burst_fire(ops); }, ops_per_s);
-  std::cout << "burst(512)+drain   " << bf.best.ops_per_s << " events/s  "
-            << bf.best.allocs_per_op << " allocs/event\n";
-  const auto tr = best_of(reps, [&] { return bench_timer_rearm(ops); }, ops_per_s);
-  std::cout << "timer re-arm       " << tr.best.ops_per_s << " ops/s     "
-            << tr.best.allocs_per_op << " allocs/op\n";
-  const auto ta = best_of(reps, [&] { return bench_timer_arm_cancel(ops); }, ops_per_s);
-  std::cout << "timer arm+cancel   " << ta.best.ops_per_s << " ops/s     "
-            << ta.best.allocs_per_op << " allocs/op\n";
-  const auto fl_runs = best_of(reps, [&] { return bench_flow(flow_secs, bench::seed()); },
-                               events_per_s);
+  bench::Summary summary;
+  // Runs one section best-of-`reps`, prints it and records its throughput
+  // `rate` and, when `allocs` names one, its allocation ratio.
+  const auto section = [&](const char* label, const char* unit, const char* rate,
+                           const char* allocs, auto run) {
+    const auto b = bench::best_of(reps, run, ops_per_s);
+    std::cout << std::left << std::setw(20) << label << b.best.ops_per_s << ' ' << unit
+              << "/s";
+    summary.rate(rate, b.best.ops_per_s, b.spread);
+    if (allocs != nullptr) {
+      std::cout << "  " << b.best.allocs_per_op << " allocs/" << unit;
+      summary.metric(allocs, b.best.allocs_per_op);
+    }
+    std::cout << '\n';
+  };
+  section("schedule+fire", "event", "schedule_fire_events_per_s",
+          "schedule_fire_allocs_per_event", [&] { return bench_schedule_fire(ops); });
+  section("burst(512)+drain", "event", "burst_fire_events_per_s",
+          "burst_fire_allocs_per_event", [&] { return bench_burst_fire(ops); });
+  section("timer re-arm", "op", "timer_rearm_ops_per_s", "timer_rearm_allocs_per_op",
+          [&] { return bench_timer_rearm(ops); });
+  section("timer arm+cancel", "op", "timer_arm_cancel_ops_per_s",
+          "timer_arm_cancel_allocs_per_op", [&] { return bench_timer_arm_cancel(ops); });
+
+  const auto fl_runs = bench::best_of(
+      reps, [&] { return bench_flow(flow_secs, bench::seed()); }, events_per_s);
   const FlowResult& fl = fl_runs.best;
-  // Every rep runs the same events, so flows/s is events/s over a constant.
-  const bench::Spread flow_flows_spread =
-      fl_runs.spread.scaled(1.0 / static_cast<double>(fl.sim_events));
   std::cout << "flow (" << flow_secs << " s sim)  " << fl.events_per_s
             << " events/s  " << fl.flows_per_s << " flows/s  "
             << fl.allocs_per_event << " allocs/event ("
             << fl.sim_events << " events)\n";
-  const auto lf_runs = best_of(
+  summary.rate("flow_events_per_s", fl.events_per_s, fl_runs.spread);
+  // Every rep runs the same events, so flows/s is events/s over a constant.
+  summary.rate("flows_per_s", fl.flows_per_s,
+               fl_runs.spread.scaled(1.0 / static_cast<double>(fl.sim_events)));
+  summary.metric("flow_allocs_per_event", fl.allocs_per_event);
+
+  const auto lf_runs = bench::best_of(
       reps, [&] { return bench_lossy_flow(flow_secs, bench::seed()); }, events_per_s);
   const FlowResult& lf = lf_runs.best;
   std::cout << "lossy flow (" << flow_secs << " s sim, SACK+bursts)  "
             << lf.events_per_s << " events/s  " << lf.allocs_per_event
             << " allocs/event (" << lf.sim_events << " events)\n";
-  const int analysis_calls = quick ? 20 : 200;
-  const auto an =
-      best_of(reps, [&] { return bench_analysis(lf.capture, analysis_calls); }, ops_per_s);
+  summary.rate("lossy_flow_events_per_s", lf.events_per_s, lf_runs.spread);
+  summary.metric("lossy_flow_allocs_per_event", lf.allocs_per_event);
+
   const std::uint64_t analysis_transmissions =
       lf.capture.data.sent_count() + lf.capture.acks.sent_count();
-  std::cout << "analyze_flow (lossy capture, " << analysis_transmissions
-            << " transmissions)  " << an.best.ops_per_s << " flows/s  "
-            << an.best.allocs_per_op << " allocs/flow\n";
+  std::cout << "analyze_flow over the lossy capture (" << analysis_transmissions
+            << " transmissions)\n";
+  section("  analyze_flow", "flow", "analysis_flows_per_s", "analysis_allocs_per_flow",
+          [&] { return bench_analysis(lf.capture, quick ? 20 : 200); });
 
-  const auto path = bench::out_dir() / "BENCH_hotpath.json";
-  std::ofstream json(path);
-  json.precision(10);
-  const auto spread_entry = [&json](const char* name, const bench::Spread& s,
-                                    const char* trailer) {
-    json << "    \"" << name << "\": {\"min\": " << s.min
-         << ", \"max\": " << s.max << ", \"mean\": " << s.mean
-         << ", \"stddev\": " << s.stddev << "}" << trailer << "\n";
-  };
-  json << "{\n"
-       << "  \"bench\": \"hotpath\",\n"
-       << "  \"schema_version\": 5,\n"
-       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"seed\": " << bench::seed() << ",\n"
-       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"ops\": " << ops << ",\n"
-       << "  \"flow_sim_duration_s\": " << fl.sim_duration_s << ",\n"
-       << "  \"flow_sim_events\": " << fl.sim_events << ",\n"
-       << "  \"analysis_transmissions\": " << analysis_transmissions << ",\n"
-       << "  \"metrics\": {\n"
-       << "    \"schedule_fire_events_per_s\": " << sf.best.ops_per_s << ",\n"
-       << "    \"schedule_fire_allocs_per_event\": " << sf.best.allocs_per_op << ",\n"
-       << "    \"burst_fire_events_per_s\": " << bf.best.ops_per_s << ",\n"
-       << "    \"burst_fire_allocs_per_event\": " << bf.best.allocs_per_op << ",\n"
-       << "    \"timer_rearm_ops_per_s\": " << tr.best.ops_per_s << ",\n"
-       << "    \"timer_rearm_allocs_per_op\": " << tr.best.allocs_per_op << ",\n"
-       << "    \"timer_arm_cancel_ops_per_s\": " << ta.best.ops_per_s << ",\n"
-       << "    \"timer_arm_cancel_allocs_per_op\": " << ta.best.allocs_per_op << ",\n"
-       << "    \"flow_events_per_s\": " << fl.events_per_s << ",\n"
-       << "    \"flows_per_s\": " << fl.flows_per_s << ",\n"
-       << "    \"flow_allocs_per_event\": " << fl.allocs_per_event << ",\n"
-       << "    \"lossy_flow_events_per_s\": " << lf.events_per_s << ",\n"
-       << "    \"lossy_flow_allocs_per_event\": " << lf.allocs_per_event << ",\n"
-       << "    \"analysis_flows_per_s\": " << an.best.ops_per_s << ",\n"
-       << "    \"analysis_allocs_per_flow\": " << an.best.allocs_per_op << "\n"
-       << "  },\n"
-       << "  \"spread\": {\n";
-  spread_entry("schedule_fire_events_per_s", sf.spread, ",");
-  spread_entry("burst_fire_events_per_s", bf.spread, ",");
-  spread_entry("timer_rearm_ops_per_s", tr.spread, ",");
-  spread_entry("timer_arm_cancel_ops_per_s", ta.spread, ",");
-  spread_entry("flow_events_per_s", fl_runs.spread, ",");
-  spread_entry("flows_per_s", flow_flows_spread, ",");
-  spread_entry("lossy_flow_events_per_s", lf_runs.spread, ",");
-  spread_entry("analysis_flows_per_s", an.spread, "");
-  json << "  }\n"
-       << "}\n";
-  std::cout << "[json] summary -> " << path.string() << "\n";
+  std::cout << "unit costs\n";
+  section("  radio query", "query", "radio_queries_per_s", nullptr,
+          [&] { return bench_radio_queries(ops); });
+  section("  rng bernoulli", "draw", "rng_bernoulli_per_s", nullptr,
+          [&] { return bench_rng_bernoulli(ops); });
+  section("  link packet", "packet", "link_packets_per_s", "link_allocs_per_packet",
+          [&] { return bench_link(ops); });
+  section("  scoreboard rank", "query", "scoreboard_rank_per_s", nullptr,
+          [&] { return bench_scoreboard_rank(ops / 16); });
+  section("  padhye model", "eval", "padhye_evals_per_s", nullptr,
+          [&] { return bench_padhye(ops); });
+  section("  enhanced model", "eval", "enhanced_evals_per_s", nullptr,
+          [&] { return bench_enhanced(ops); });
+
+  summary.fact("bench", "hotpath");
+  summary.fact("schema_version", 6);
+  summary.fact("quick", quick);
+  summary.fact("reps", reps);
+  summary.fact("seed", bench::seed());
+  summary.fact("hardware_concurrency", std::thread::hardware_concurrency());
+  summary.fact("ops", ops);
+  summary.fact("flow_sim_duration_s", fl.sim_duration_s);
+  summary.fact("flow_sim_events", fl.sim_events);
+  summary.fact("analysis_transmissions", analysis_transmissions);
+  summary.write(json_path);
 
   // The gate: allocation counts do not move with the host, so unlike the
-  // throughputs they can fail a run. The simulation's steady state must not
-  // allocate at all.
-  const std::pair<const char*, double> steady_allocs[] = {
-      {"schedule_fire_allocs_per_event", sf.best.allocs_per_op},
-      {"burst_fire_allocs_per_event", bf.best.allocs_per_op},
-      {"timer_rearm_allocs_per_op", tr.best.allocs_per_op},
-      {"timer_arm_cancel_allocs_per_op", ta.best.allocs_per_op},
-      {"flow_allocs_per_event", fl.allocs_per_event},
-      {"lossy_flow_allocs_per_event", lf.allocs_per_event},
-  };
+  // throughputs they can fail a run. Steady state must not allocate at all;
+  // one analyze_flow call may allocate its fixed handful of arrays.
   int status = 0;
-  for (const auto& [name, allocs] : steady_allocs) {
-    if (allocs > 0.0) {
-      std::cerr << "FAIL: " << name << " = " << allocs << ", want 0\n";
+  for (const auto& [name, allocs] : summary.metrics()) {
+    if (name.find("allocs_per") == std::string::npos) continue;
+    const double limit = name == "analysis_allocs_per_flow" ? kMaxAnalysisAllocsPerFlow : 0.0;
+    if (allocs > limit) {
+      std::cerr << "FAIL: " << name << " = " << allocs << ", want at most " << limit << "\n";
       status = 1;
     }
-  }
-  if (an.best.allocs_per_op > kMaxAnalysisAllocsPerFlow) {
-    std::cerr << "FAIL: analysis_allocs_per_flow = " << an.best.allocs_per_op
-              << ", want at most " << kMaxAnalysisAllocsPerFlow << "\n";
-    status = 1;
   }
   return status;
 }

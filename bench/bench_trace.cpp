@@ -19,7 +19,8 @@
 //
 // Emits bench_out/BENCH_trace.json (schema_version 3: flat best-of-N
 // "metrics", per-metric "spread"; "_per_s" keys are throughputs — see
-// bench_hotpath.cpp for the conventions bench_compare.py keys off).
+// bench::Summary in bench/common.h for the conventions bench_compare.py
+// keys off).
 //
 // The size ratio is deterministic for a given seed, so the bench FAILS
 // (exit 1) if the binary format is not at least 4x smaller than text —
@@ -28,7 +29,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <sstream>
@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
+  const std::filesystem::path json_path = hsr::bench::out_dir() / "BENCH_trace.json";
   hsr::bench::header(quick ? "Trace formats: text vs binary (quick smoke)"
                            : "Trace formats: text vs binary");
 
@@ -135,7 +136,6 @@ int main(int argc, char** argv) {
   const auto crc = flows_per_s(reps, flow_count, [&] {
     if (hsr::util::crc32c(binary_corpus) != archive_crc) std::abort();
   });
-  const hsr::bench::Spread crc_mb_spread = crc.spread.scaled(bin_mb_per_flow);
   const double crc_mb_per_s = crc.best * bin_mb_per_flow;
 
   // --- write throughput ------------------------------------------------------
@@ -180,47 +180,28 @@ int main(int argc, char** argv) {
             << " flows/s (" << bin_read.best * bin_mb_per_flow << " MB/s)\n";
   std::cout << "crc32c       " << crc_mb_per_s << " MB/s over the binary archive\n";
 
-  const auto path = hsr::bench::out_dir() / "BENCH_trace.json";
-  std::ofstream json(path);
-  json.precision(10);
-  const auto spread_entry = [&json](const char* name, const hsr::bench::Spread& s,
-                                    const char* trailer) {
-    json << "    \"" << name << "\": {\"min\": " << s.min << ", \"max\": " << s.max
-         << ", \"mean\": " << s.mean << ", \"stddev\": " << s.stddev << "}"
-         << trailer << "\n";
-  };
-  json << "{\n"
-       << "  \"bench\": \"trace\",\n"
-       << "  \"schema_version\": 3,\n"
-       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"seed\": " << hsr::bench::seed() << ",\n"
-       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"flows\": " << flow_count << ",\n"
-       << "  \"transmissions\": " << transmissions << ",\n"
-       << "  \"metrics\": {\n"
-       << "    \"text_write_flows_per_s\": " << text_write.best << ",\n"
-       << "    \"text_write_mb_per_s\": " << text_write.best * text_mb_per_flow << ",\n"
-       << "    \"binary_write_flows_per_s\": " << bin_write.best << ",\n"
-       << "    \"binary_write_mb_per_s\": " << bin_write.best * bin_mb_per_flow << ",\n"
-       << "    \"text_read_flows_per_s\": " << text_read.best << ",\n"
-       << "    \"text_read_mb_per_s\": " << text_read.best * text_mb_per_flow << ",\n"
-       << "    \"binary_read_flows_per_s\": " << bin_read.best << ",\n"
-       << "    \"binary_read_mb_per_s\": " << bin_read.best * bin_mb_per_flow << ",\n"
-       << "    \"crc32c_mb_per_s\": " << crc_mb_per_s << ",\n"
-       << "    \"text_bytes_per_flow\": " << text_bpf << ",\n"
-       << "    \"binary_bytes_per_flow\": " << bin_bpf << ",\n"
-       << "    \"text_to_binary_size_ratio\": " << size_ratio << "\n"
-       << "  },\n"
-       << "  \"spread\": {\n";
-  spread_entry("text_write_flows_per_s", text_write.spread, ",");
-  spread_entry("binary_write_flows_per_s", bin_write.spread, ",");
-  spread_entry("text_read_flows_per_s", text_read.spread, ",");
-  spread_entry("binary_read_flows_per_s", bin_read.spread, ",");
-  spread_entry("crc32c_mb_per_s", crc_mb_spread, "");
-  json << "  }\n"
-       << "}\n";
-  std::cout << "[json] summary -> " << path.string() << "\n";
+  hsr::bench::Summary summary;
+  summary.fact("bench", "trace");
+  summary.fact("schema_version", 3);
+  summary.fact("quick", quick);
+  summary.fact("reps", reps);
+  summary.fact("seed", hsr::bench::seed());
+  summary.fact("hardware_concurrency", std::thread::hardware_concurrency());
+  summary.fact("flows", flow_count);
+  summary.fact("transmissions", transmissions);
+  summary.rate("text_write_flows_per_s", text_write.best, text_write.spread);
+  summary.metric("text_write_mb_per_s", text_write.best * text_mb_per_flow);
+  summary.rate("binary_write_flows_per_s", bin_write.best, bin_write.spread);
+  summary.metric("binary_write_mb_per_s", bin_write.best * bin_mb_per_flow);
+  summary.rate("text_read_flows_per_s", text_read.best, text_read.spread);
+  summary.metric("text_read_mb_per_s", text_read.best * text_mb_per_flow);
+  summary.rate("binary_read_flows_per_s", bin_read.best, bin_read.spread);
+  summary.metric("binary_read_mb_per_s", bin_read.best * bin_mb_per_flow);
+  summary.rate("crc32c_mb_per_s", crc_mb_per_s, crc.spread.scaled(bin_mb_per_flow));
+  summary.metric("text_bytes_per_flow", text_bpf);
+  summary.metric("binary_bytes_per_flow", bin_bpf);
+  summary.metric("text_to_binary_size_ratio", size_ratio);
+  summary.write(json_path);
 
   if (size_ratio < 4.0) {
     std::cerr << "FAIL: binary format is not 4x smaller than text ("

@@ -8,23 +8,31 @@
 //   HSR_BENCH_SEED   experiment seed; default 2015.
 //   HSR_BENCH_THREADS corpus-generation worker threads in [1, 512]; default
 //                    hardware concurrency.
-//   HSR_BENCH_OUT    directory for full-resolution CSV dumps; default
-//                    "bench_out" under the current directory.
-// A numeric knob that is set must parse completely and lie in its range;
-// anything else stops the binary with exit status 2 and a message naming
-// the knob, instead of silently running a different experiment.
+//   HSR_BENCH_OUT    directory for full-resolution CSV dumps and BENCH_*.json
+//                    summaries, created if missing; default "bench_out"
+//                    under the current directory.
+// A numeric knob that is set must parse completely and lie in its range,
+// and HSR_BENCH_OUT must be or become a directory; anything else stops the
+// binary with exit status 2 and a message naming the knob, instead of
+// silently running a different experiment. A file that cannot be opened or
+// written stops it with exit status 1 and a message naming the file.
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/text.h"
@@ -63,17 +71,32 @@ inline unsigned threads() {
                   "[1, 512]");
 }
 
+// The output directory, created with its missing ancestors.
 inline std::filesystem::path out_dir() {
   const char* s = std::getenv("HSR_BENCH_OUT");
-  std::filesystem::path dir = s ? s : "bench_out";
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = s ? s : "bench_out";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!std::filesystem::is_directory(dir, ec)) {
+    std::cerr << "HSR_BENCH_OUT='" << dir.string() << "' is not a directory and cannot be"
+              << " created\n";
+    std::exit(2);
+  }
   return dir;
+}
+
+// Stops the binary when `stream`, opened on `path`, failed to open or write.
+inline void check_written(const std::ostream& stream, const std::filesystem::path& path) {
+  if (stream) return;
+  std::cerr << "cannot write '" << path.string() << "': " << std::strerror(errno) << '\n';
+  std::exit(1);
 }
 
 // Opens a CSV dump file in the output directory.
 inline std::ofstream open_csv(const std::string& name) {
   const auto path = out_dir() / name;
   std::ofstream f(path);
+  check_written(f, path);
   std::cout << "[csv] full data -> " << path.string() << "\n";
   return f;
 }
@@ -160,6 +183,62 @@ BestOf<std::invoke_result_t<Run&>> best_of(int reps, Run run, Score score) {
   out.spread = Spread::of(scores);
   return out;
 }
+
+// A BENCH_*.json summary in the layout tools/bench_compare.py reads: run
+// facts, a flat "metrics" object of best-of-N values and a "spread" object
+// for every throughput. Keys ending in "_per_s" are throughputs (higher is
+// better); keys containing "allocs_per" are allocation ratios (lower is
+// better; their counts are deterministic, so they carry no spread).
+class Summary {
+ public:
+  template <class T>
+  void fact(const std::string& name, const T& value) {
+    std::ostringstream os;
+    os.precision(10);
+    if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      os << '"' << value << '"';
+    } else {
+      os << std::boolalpha << value;
+    }
+    facts_.emplace_back(name, os.str());
+  }
+  void metric(const std::string& name, double value) { metrics_.emplace_back(name, value); }
+  // A throughput: its best-of-N value and the spread of every rep.
+  void rate(const std::string& name, double best, const Spread& spread) {
+    metric(name, best);
+    spreads_.emplace_back(name, spread);
+  }
+  const std::vector<std::pair<std::string, double>>& metrics() const { return metrics_; }
+
+  // Writes the summary to `path`; stops the binary if it cannot.
+  void write(const std::filesystem::path& path) const {
+    std::ofstream json(path);
+    json.precision(10);
+    json << "{\n";
+    for (const auto& [name, value] : facts_) json << "  \"" << name << "\": " << value << ",\n";
+    json << "  \"metrics\": {\n";
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      json << "    \"" << metrics_[i].first << "\": " << metrics_[i].second
+           << (i + 1 < metrics_.size() ? ",\n" : "\n");
+    }
+    json << "  },\n  \"spread\": {\n";
+    for (std::size_t i = 0; i < spreads_.size(); ++i) {
+      const Spread& s = spreads_[i].second;
+      json << "    \"" << spreads_[i].first << "\": {\"min\": " << s.min << ", \"max\": "
+           << s.max << ", \"mean\": " << s.mean << ", \"stddev\": " << s.stddev << "}"
+           << (i + 1 < spreads_.size() ? ",\n" : "\n");
+    }
+    json << "  }\n}\n";
+    json.close();
+    check_written(json, path);
+    std::cout << "[json] summary -> " << path.string() << "\n";
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> facts_;  // rendered JSON values
+  std::vector<std::pair<std::string, double>> metrics_;
+  std::vector<std::pair<std::string, Spread>> spreads_;
+};
 
 inline void header(const std::string& title) {
   std::cout << "==== " << title << " ====\n";

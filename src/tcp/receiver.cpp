@@ -13,8 +13,7 @@ TcpReceiver::TcpReceiver(sim::Simulator& sim, TcpConfig config, FlowId flow,
       flow_(flow),
       send_ack_(std::move(send_ack)),
       delack_timer_(sim, [this] { on_delack_timer(); }),
-      out_of_order_(/*base=*/1, std::size_t{config.receiver_window} * 4),
-      next_packet_id_(0) {
+      out_of_order_(/*base=*/1, std::size_t{config.receiver_window} * 4) {
   HSR_CHECK(static_cast<bool>(send_ack_));
   HSR_CHECK(cfg_.delayed_ack_b >= 1);
 }

@@ -444,13 +444,6 @@ void write_flow_frame(std::ostream& os, const FlowCapture& capture, std::uint64_
   os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
 }
 
-void write_quarantine_frame(std::ostream& os, const QuarantineRecord& record,
-                            std::uint64_t seq) {
-  std::string frame;
-  encode_quarantine_frame(record, seq, frame);
-  os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-}
-
 util::Status BinaryTraceReader::open() {
   char magic[kBinaryTraceMagicSize] = {};
   is_.read(magic, kBinaryTraceMagicSize);

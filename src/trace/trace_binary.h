@@ -76,8 +76,6 @@ struct QuarantineRecord {
 void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count);
 // `seq` is the frame's 0-based ordinal in the destination file.
 void write_flow_frame(std::ostream& os, const FlowCapture& capture, std::uint64_t seq);
-void write_quarantine_frame(std::ostream& os, const QuarantineRecord& record,
-                            std::uint64_t seq);
 
 // Encodes one frame (header + payload) into `out`, replacing its contents.
 // Exposed so the chunked corpus writer can append pre-encoded frames and

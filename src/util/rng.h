@@ -60,11 +60,6 @@ class Rng {
   double lognormal(double mu, double sigma) {
     return std::lognormal_distribution<double>(mu, sigma)(engine_);
   }
-  // Pareto with shape alpha (>0) and scale x_m (>0); heavy-tailed sizes.
-  double pareto(double alpha, double x_m) {
-    const double u = 1.0 - uniform();  // (0, 1]
-    return x_m / std::pow(u, 1.0 / alpha);
-  }
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -666,16 +666,4 @@ std::uint64_t DatasetResult::total_sim_events() const {
   return n;
 }
 
-std::uint64_t DatasetResult::total_sim_scheduled() const {
-  std::uint64_t n = 0;
-  for (const auto& f : flows) n += f.sim_scheduled;
-  return n;
-}
-
-std::uint64_t DatasetResult::total_sim_tombstones() const {
-  std::uint64_t n = 0;
-  for (const auto& f : flows) n += f.sim_tombstones;
-  return n;
-}
-
 }  // namespace hsr::workload

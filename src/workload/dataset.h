@@ -127,8 +127,8 @@ struct FlowRecord {
   unsigned receiver_window = 64;  // W_m used by this flow
   unsigned delayed_ack_b = 2;     // b used by this flow
 
-  // Simulator-core cost accounting for this flow (perf tracking: events/sec
-  // and tombstone ratio reported by bench_scaling).
+  // Simulator-core cost accounting for this flow (events/sec and tombstone
+  // ratio; ParallelDeterminismTest compares them across thread counts).
   std::uint64_t sim_events = 0;      // events executed
   std::uint64_t sim_scheduled = 0;   // events and timer arms ever scheduled
   std::uint64_t sim_tombstones = 0;  // idle entries (sim::Simulator::idle_events)
@@ -169,10 +169,8 @@ struct DatasetResult {
 
   double total_capture_gb() const;
   unsigned flow_count(const std::string& provider, bool high_speed) const;
-  // Sums of the per-flow simulator counters (bench_scaling reporting).
+  // Sum of the per-flow simulator event counts.
   std::uint64_t total_sim_events() const;
-  std::uint64_t total_sim_scheduled() const;
-  std::uint64_t total_sim_tombstones() const;
 };
 
 // Runs every flow of the spec (each with its own derived seed) and analyzes

@@ -497,9 +497,12 @@ TEST(TraceBinaryTest, QuarantineFramesRoundTrip) {
   rec.downlink_plan = "hsrfaultplan-v1 directives=0\n";
   rec.uplink_plan = "";
 
+  // The path ChunkFileWriter::append_quarantine takes.
+  std::string frame;
+  encode_quarantine_frame(rec, /*seq=*/0, frame);
   std::ostringstream os;
   write_binary_trace_header(os, 0);
-  write_quarantine_frame(os, rec, /*seq=*/0);
+  os << frame;
   std::istringstream in(os.str());
   const auto corpus = read_binary_corpus(in);
   ASSERT_TRUE(corpus.is_ok()) << corpus.status().to_string();

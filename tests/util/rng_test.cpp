@@ -121,13 +121,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 2.5, 0.1);
 }
 
-TEST(RngTest, ParetoAboveScale) {
-  Rng rng(17);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(rng.pareto(1.5, 3.0), 3.0);
-  }
-}
-
 TEST(RngTest, NormalMoments) {
   Rng rng(19);
   double sum = 0.0, sq = 0.0;

@@ -180,6 +180,11 @@ SELF_CHECK_CASES = [
     ("timer_arm_cancel_ops_per_s", 100.0, 89.0, "regression"),  # -11 % pairs/s
     ("timer_arm_cancel_allocs_per_op", 0.0, 0.005, "ok"),       # within epsilon
     ("timer_arm_cancel_allocs_per_op", 0.0, 0.5, "regression"), # zero-alloc lost
+    # The unit-cost metrics (bench_hotpath schema v6) gate by name too.
+    ("radio_queries_per_s", 100.0, 95.0, "ok"),                 # -5 % queries/s
+    ("radio_queries_per_s", 100.0, 85.0, "regression"),         # -15 % queries/s
+    ("link_allocs_per_packet", 0.0, 0.0, "ok"),                 # zero stays zero
+    ("link_allocs_per_packet", 0.0, 0.5, "regression"),         # zero-alloc lost
     # The checksum metric (bench_trace schema v3) gates by name too.
     ("crc32c_mb_per_s", 2600.0, 2450.0, "ok"),                  # -6 % MB/s
     ("crc32c_mb_per_s", 2600.0, 650.0, "regression"),           # table path again

@@ -202,8 +202,16 @@ int main(int argc, char** argv) {
     options.fs = faulty_fs.get();
   }
   hsr::util::Fs& fs = options.fs != nullptr ? *options.fs : hsr::util::Fs::real();
-  // The stats save comes after the whole campaign: refuse a directory, or a
-  // path whose parent will not be a directory by then, now.
+  // The merge writes --out and the stats save writes --stats-out only after
+  // the whole campaign: refuse now a path whose parent will not be a
+  // directory by then, or a directory given as --stats-out.
+  const auto parent_ready = [&](const char* flag, const std::string& path) {
+    const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+    if (directory_ready(parent, work_dir.empty() ? out_path + ".work" : work_dir)) return true;
+    std::cerr << flag << ": parent '" << parent.string() << "' is not an existing directory\n";
+    return false;
+  };
+  if (!parent_ready("--out", out_path)) return 2;
   if (!stats_path.empty()) {
     if (fs.exists(stats_path)) {
       const auto size = fs.file_size(stats_path);
@@ -213,12 +221,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    const std::filesystem::path parent = std::filesystem::path(stats_path).parent_path();
-    if (!directory_ready(parent, work_dir.empty() ? out_path + ".work" : work_dir)) {
-      std::cerr << "stats-out: parent '" << parent.string()
-                << "' is not an existing directory\n";
-      return 2;
-    }
+    if (!parent_ready("--stats-out", stats_path)) return 2;
   }
 
   const auto result = hsr::workload::generate_dataset_streaming(spec, options);
