@@ -7,17 +7,18 @@
 // paper-scale flow (events/sec and flows/sec) and the §III flow analysis of
 // the lossy flow's capture (analyze_flow calls/sec and allocations per
 // call) — and the unit costs a layer's per-flow counters multiply: a radio
-// drop-probability query, a Bernoulli draw, a packet through net::Link, a
-// SACK scoreboard rank query and one evaluation of each throughput model.
-// It emits a machine-readable bench_out/BENCH_hotpath.json in a stable
-// schema.
+// drop-probability query, a Bernoulli draw, a packet through net::Link with
+// one endpoint and with a shared cell's 64, a SACK scoreboard rank query
+// and one evaluation of each throughput model. It emits a machine-readable
+// bench_out/BENCH_hotpath.json in a stable schema.
 //
-// Compare two runs with tools/bench_compare.py:
+// Compare two builds with tools/bench_compare.py, in alternating runs on
+// one host (separate runs drift with the host's load):
 //   ./bench_hotpath                 # full run, ~seconds
 //   ./bench_hotpath --quick         # CI smoke: small op counts, short flow
-//   python3 tools/bench_compare.py baseline.json current.json
+//   python3 tools/bench_compare.py --ab parent/bench_hotpath bench_hotpath
 //
-// JSON schema (schema_version 6; v3 added the lossy-flow metrics — a
+// JSON schema (schema_version 7; v3 added the lossy-flow metrics — a
 // SACK-enabled flow under scripted burst loss — and made the flow
 // allocation ratios steady-state probe-window measurements, pinned at
 // exactly 0; v4 added analysis_flows_per_s and analysis_allocs_per_flow,
@@ -26,13 +27,14 @@
 // timer_rearm_* and timer_arm_cancel_*, sim::Timer driven by a 1 ms tick;
 // v6 added the unit costs radio_queries_per_s, rng_bernoulli_per_s,
 // link_packets_per_s with link_allocs_per_packet, scoreboard_rank_per_s,
-// padhye_evals_per_s and enhanced_evals_per_s): top-level run metadata, a
-// flat "metrics" object holding the best-of-N values, and a "spread" object
-// recording min/max/mean/stddev of every throughput metric across the N
-// reps (bench::Summary in bench/common.h). bench_compare.py keys off the
-// "_per_s" and "allocs_per" name suffixes and widens its regression gate
-// by the recorded relative spread, so additions must follow the same
-// naming convention.
+// padhye_evals_per_s and enhanced_evals_per_s; v7 times each flow-section
+// rep as whole flows back to back for at least kMinRepSeconds, and added
+// shared_link_packets_per_s, the link packet over 64 endpoints): top-level
+// run metadata, a flat "metrics" object holding the best-of-N values, and a
+// "spread" object recording min/max/mean/stddev of every throughput metric
+// across the N reps (bench::Summary in bench/common.h). bench_compare.py
+// keys off the "_per_s" and "allocs_per" name suffixes, so additions must
+// follow the same naming convention.
 //
 // The binary exits 1 when a steady-state "allocs_per" metric is above 0 or
 // analysis_allocs_per_flow is above 4: allocation counts are the readings
@@ -42,6 +44,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <memory>
@@ -76,6 +79,11 @@ using hsr::bench::seconds_since;
 // The most heap allocations one analyze_flow call may make: its flat
 // passes allocate a fixed handful of arrays whatever the capture's length.
 constexpr double kMaxAnalysisAllocsPerFlow = 4.0;
+
+// Each rep of a flow section runs whole flows back to back for at least
+// this long (bench_trace's rule): one paper-scale flow is only 10-15 ms of
+// wall, too short a sample to repeat across runs.
+constexpr double kMinRepSeconds = 0.25;
 
 struct SectionResult {
   double ops_per_s = 0.0;
@@ -182,46 +190,50 @@ SectionResult bench_timer_arm_cancel(std::uint64_t ops) {
 }
 
 struct FlowResult {
-  double events_per_s = 0.0;   // simulated events per wall second
-  double flows_per_s = 0.0;    // whole flows per wall second
+  hsr::bench::BestOf<double> events_per_s;  // simulated events per wall second
   double allocs_per_event = 0.0;  // steady-state: probe window, exactly 0
-  std::uint64_t sim_events = 0;
-  double sim_duration_s = 0.0;
+  std::uint64_t sim_events = 0;   // per flow; every flow runs the same events
   hsr::trace::FlowCapture capture;
 };
 
-// End-to-end: one paper-scale bulk-download flow (links, radio channels,
-// capture taps, the full TCP stack). The allocation ratio is measured over
-// the steady-state probe window [10% of the flow, end]: setup and the
-// one-time high-water growth of queue/capture storage happen before the
-// window opens, so the ratio is EXACTLY zero — the endpoint layer's flat
-// scoreboards and segment rings never touch the allocator per event.
-FlowResult measure_flow(hsr::workload::FlowRunConfig cfg, double sim_seconds) {
+// End-to-end: paper-scale bulk-download flows (links, radio channels,
+// capture taps, the full TCP stack). A first, untimed flow warms up and
+// yields the capture and the allocation ratio, measured over the
+// steady-state probe window [10% of the flow, end]: setup and the one-time
+// high-water growth of queue/capture storage happen before the window
+// opens, so the ratio is EXACTLY zero — the endpoint layer's flat
+// scoreboards and segment rings never touch the allocator per event. Each
+// of `reps` reps then runs whole flows for at least kMinRepSeconds.
+FlowResult measure_flow(hsr::workload::FlowRunConfig cfg, double sim_seconds, int reps) {
   cfg.duration = hsr::util::Duration::from_seconds(sim_seconds);
   cfg.probe_begin = TimePoint::zero() + cfg.duration / 10;
   cfg.probe_end = TimePoint::zero() + cfg.duration;
-  (void)hsr::workload::run_flow(cfg);  // warm-up run
-  const auto t0 = std::chrono::steady_clock::now();
-  hsr::workload::FlowRunResult run = hsr::workload::run_flow(cfg);
-  const double wall = seconds_since(t0);
+  hsr::workload::FlowRunResult first = hsr::workload::run_flow(cfg);
   FlowResult r;
-  r.sim_events = run.sim_events;
-  r.sim_duration_s = sim_seconds;
-  r.events_per_s = static_cast<double>(run.sim_events) / wall;
-  r.flows_per_s = 1.0 / wall;
-  r.allocs_per_event = static_cast<double>(run.steady_allocs) /
-                       static_cast<double>(run.steady_events);
-  r.capture = std::move(run.capture);
+  r.sim_events = first.sim_events;
+  r.allocs_per_event = static_cast<double>(first.steady_allocs) /
+                       static_cast<double>(first.steady_events);
+  r.capture = std::move(first.capture);
+  const auto rep = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t flows = 0;
+    double wall = 0.0;
+    do {
+      keep(hsr::workload::run_flow(cfg).sim_events);
+      ++flows;
+      wall = seconds_since(t0);
+    } while (wall < kMinRepSeconds);
+    return static_cast<double>(flows * r.sim_events) / wall;
+  };
+  r.events_per_s = hsr::bench::best_of(reps, rep, std::identity{});
   return r;
 }
 
-double events_per_s(const FlowResult& r) { return r.events_per_s; }
-
-FlowResult bench_flow(double sim_seconds, std::uint64_t seed) {
+FlowResult bench_flow(double sim_seconds, std::uint64_t seed, int reps) {
   hsr::workload::FlowRunConfig cfg;
   cfg.profile = hsr::radio::mobile_lte_highspeed();
   cfg.seed = seed;
-  return measure_flow(std::move(cfg), sim_seconds);
+  return measure_flow(std::move(cfg), sim_seconds, reps);
 }
 
 // Loss-recovery hot path: the same paper-scale flow with SACK enabled and a
@@ -230,7 +242,7 @@ FlowResult bench_flow(double sim_seconds, std::uint64_t seed) {
 // retransmission scans and RTO churn, so this measures the endpoints'
 // recovery machinery — where the former std::set scoreboard did its
 // per-ACK node walks — rather than the in-order fast path.
-FlowResult bench_lossy_flow(double sim_seconds, std::uint64_t seed) {
+FlowResult bench_lossy_flow(double sim_seconds, std::uint64_t seed, int reps) {
   hsr::workload::FlowRunConfig cfg;
   cfg.profile = hsr::radio::mobile_lte_highspeed();
   cfg.seed = seed;
@@ -241,7 +253,7 @@ FlowResult bench_lossy_flow(double sim_seconds, std::uint64_t seed) {
         TimePoint::from_seconds(t + 0.25),
         "bench-burst");
   }
-  return measure_flow(std::move(cfg), sim_seconds);
+  return measure_flow(std::move(cfg), sim_seconds, reps);
 }
 
 // The §III flow analysis (analysis::analyze_flow) over one capture, called
@@ -272,11 +284,12 @@ SectionResult bench_rng_bernoulli(std::uint64_t ops) {
 }
 
 // The link layer's per-packet cost: 1000-packet batches through one reused
-// net::Link with a 1 %-loss BernoulliChannel endpoint, each batch sent at
-// once and drained (DropTail queue, channel verdict, delivery event). Three
-// warm-up batches bring the event slab to its high-water mark, after which
-// a packet allocates nothing.
-SectionResult bench_link(std::uint64_t packets) {
+// net::Link whose `flows` endpoints (flows 1..flows) each have a 1 %-loss
+// BernoulliChannel, packets sent round-robin over the flows, each batch
+// sent at once and drained (endpoint lookup, DropTail queue, channel
+// verdict, delivery event). Three warm-up batches bring the event slab to
+// its high-water mark, after which a packet allocates nothing.
+SectionResult bench_link(std::uint64_t packets, hsr::net::FlowId flows) {
   constexpr std::uint64_t kBatch = 1000;
   hsr::sim::Simulator sim;
   hsr::net::LinkConfig cfg;
@@ -284,13 +297,16 @@ SectionResult bench_link(std::uint64_t packets) {
   cfg.queue_capacity = 10000;
   hsr::net::Link link(sim, cfg);
   std::uint64_t delivered = 0;
-  link.register_endpoint(
-      0, std::make_unique<hsr::net::BernoulliChannel>(0.01, hsr::util::Rng(1)),
-      [&delivered](const hsr::net::Packet&) { ++delivered; });
+  for (hsr::net::FlowId flow = 1; flow <= flows; ++flow) {
+    link.register_endpoint(
+        flow, std::make_unique<hsr::net::BernoulliChannel>(0.01, hsr::util::Rng(flow)),
+        [&delivered](const hsr::net::Packet&) { ++delivered; });
+  }
   const SectionResult r = time_calls(3, packets / kBatch, [&](std::uint64_t) {
     for (std::uint64_t i = 0; i < kBatch; ++i) {
       hsr::net::Packet p;
       p.id = hsr::net::allocate_packet_id();
+      p.flow = 1 + static_cast<hsr::net::FlowId>(i % flows);
       p.size_bytes = 1400;
       link.send(std::move(p));
     }
@@ -382,27 +398,26 @@ int main(int argc, char** argv) {
   section("timer arm+cancel", "op", "timer_arm_cancel_ops_per_s",
           "timer_arm_cancel_allocs_per_op", [&] { return bench_timer_arm_cancel(ops); });
 
-  const auto fl_runs = bench::best_of(
-      reps, [&] { return bench_flow(flow_secs, bench::seed()); }, events_per_s);
-  const FlowResult& fl = fl_runs.best;
-  std::cout << "flow (" << flow_secs << " s sim)  " << fl.events_per_s
-            << " events/s  " << fl.flows_per_s << " flows/s  "
-            << fl.allocs_per_event << " allocs/event ("
-            << fl.sim_events << " events)\n";
-  summary.rate("flow_events_per_s", fl.events_per_s, fl_runs.spread);
-  // Every rep runs the same events, so flows/s is events/s over a constant.
-  summary.rate("flows_per_s", fl.flows_per_s,
-               fl_runs.spread.scaled(1.0 / static_cast<double>(fl.sim_events)));
-  summary.metric("flow_allocs_per_event", fl.allocs_per_event);
-
-  const auto lf_runs = bench::best_of(
-      reps, [&] { return bench_lossy_flow(flow_secs, bench::seed()); }, events_per_s);
-  const FlowResult& lf = lf_runs.best;
-  std::cout << "lossy flow (" << flow_secs << " s sim, SACK+bursts)  "
-            << lf.events_per_s << " events/s  " << lf.allocs_per_event
-            << " allocs/event (" << lf.sim_events << " events)\n";
-  summary.rate("lossy_flow_events_per_s", lf.events_per_s, lf_runs.spread);
-  summary.metric("lossy_flow_allocs_per_event", lf.allocs_per_event);
+  // Every flow of a section runs the same events, so flows/s is events/s
+  // over a constant.
+  const auto flow_section = [&](const FlowResult& f, const char* label, const char* events,
+                                const char* flows, const char* allocs) {
+    std::cout << label << " (" << flow_secs << " s sim)  " << f.events_per_s.best
+              << " events/s  " << f.events_per_s.best / static_cast<double>(f.sim_events)
+              << " flows/s  " << f.allocs_per_event << " allocs/event (" << f.sim_events
+              << " events)\n";
+    summary.rate(events, f.events_per_s.best, f.events_per_s.spread);
+    if (flows != nullptr) {
+      const double per_flow = 1.0 / static_cast<double>(f.sim_events);
+      summary.rate(flows, f.events_per_s.best * per_flow, f.events_per_s.spread.scaled(per_flow));
+    }
+    summary.metric(allocs, f.allocs_per_event);
+  };
+  const FlowResult fl = bench_flow(flow_secs, bench::seed(), reps);
+  flow_section(fl, "flow", "flow_events_per_s", "flows_per_s", "flow_allocs_per_event");
+  const FlowResult lf = bench_lossy_flow(flow_secs, bench::seed(), reps);
+  flow_section(lf, "lossy flow, SACK+bursts", "lossy_flow_events_per_s", nullptr,
+               "lossy_flow_allocs_per_event");
 
   const std::uint64_t analysis_transmissions =
       lf.capture.data.sent_count() + lf.capture.acks.sent_count();
@@ -417,7 +432,9 @@ int main(int argc, char** argv) {
   section("  rng bernoulli", "draw", "rng_bernoulli_per_s", nullptr,
           [&] { return bench_rng_bernoulli(ops); });
   section("  link packet", "packet", "link_packets_per_s", "link_allocs_per_packet",
-          [&] { return bench_link(ops); });
+          [&] { return bench_link(ops, 1); });
+  section("  link, 64 flows", "packet", "shared_link_packets_per_s", nullptr,
+          [&] { return bench_link(ops, 64); });
   section("  scoreboard rank", "query", "scoreboard_rank_per_s", nullptr,
           [&] { return bench_scoreboard_rank(ops / 16); });
   section("  padhye model", "eval", "padhye_evals_per_s", nullptr,
@@ -426,13 +443,13 @@ int main(int argc, char** argv) {
           [&] { return bench_enhanced(ops); });
 
   summary.fact("bench", "hotpath");
-  summary.fact("schema_version", 6);
+  summary.fact("schema_version", 7);
   summary.fact("quick", quick);
   summary.fact("reps", reps);
   summary.fact("seed", bench::seed());
   summary.fact("hardware_concurrency", std::thread::hardware_concurrency());
   summary.fact("ops", ops);
-  summary.fact("flow_sim_duration_s", fl.sim_duration_s);
+  summary.fact("flow_sim_duration_s", flow_secs);
   summary.fact("flow_sim_events", fl.sim_events);
   summary.fact("analysis_transmissions", analysis_transmissions);
   summary.write(json_path);

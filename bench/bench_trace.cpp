@@ -10,12 +10,12 @@
 //
 //   ./bench_trace                 # full run: 16 flows x 60 s sim, best of 3
 //   ./bench_trace --quick         # CI smoke: 4 flows x 10 s sim, 1 rep
-//   python3 tools/bench_compare.py baseline.json current.json
+//   python3 tools/bench_compare.py --ab parent/bench_trace bench_trace
 //
 // Every rep of every section times whole passes over all the captures for
 // at least kMinRepSeconds (0.25 s), not one 20-100 ms pass. Separate runs
 // still drift with the host's load, so compare two builds in alternating
-// runs.
+// runs (bench_compare.py --ab).
 //
 // Emits bench_out/BENCH_trace.json (schema_version 3: flat best-of-N
 // "metrics", per-metric "spread"; "_per_s" keys are throughputs — see

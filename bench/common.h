@@ -102,8 +102,11 @@ inline std::ofstream open_csv(const std::string& name) {
 }
 
 // The corpus every corpus-driven figure shares (generated once per binary).
+// The output directory is resolved first, so a bad HSR_BENCH_OUT stops the
+// binary before any simulation.
 inline const workload::DatasetResult& corpus() {
   static const workload::DatasetResult ds = [] {
+    out_dir();
     workload::DatasetSpec spec = workload::DatasetSpec::paper_table1(scale());
     spec.seed = seed();
     spec.threads = threads();
@@ -130,8 +133,7 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 // Per-rep dispersion of a throughput metric, recorded beside its best-of-N
-// value so tools/bench_compare.py can tell "this box is noisy" from "this
-// change is slow" and widen its gate accordingly.
+// value so a reader can see how far one run's reps spread.
 struct Spread {
   double min = 0.0;
   double max = 0.0;
@@ -184,11 +186,12 @@ BestOf<std::invoke_result_t<Run&>> best_of(int reps, Run run, Score score) {
   return out;
 }
 
-// A BENCH_*.json summary in the layout tools/bench_compare.py reads: run
-// facts, a flat "metrics" object of best-of-N values and a "spread" object
-// for every throughput. Keys ending in "_per_s" are throughputs (higher is
-// better); keys containing "allocs_per" are allocation ratios (lower is
-// better; their counts are deterministic, so they carry no spread).
+// A BENCH_*.json summary: run facts (tools/bench_compare.py reads "bench"
+// and "schema_version"), a flat "metrics" object of best-of-N values and a
+// "spread" object for every throughput. Keys ending in "_per_s" are
+// throughputs (higher is better); keys containing "allocs_per" are
+// allocation ratios (lower is better; their counts are deterministic, so
+// they carry no spread).
 class Summary {
  public:
   template <class T>

@@ -28,3 +28,6 @@ string(FIND "${out}${err}" "${EXPECT}" at)
 if(at EQUAL -1)
   message(FATAL_ERROR "exit status ${rc}, but the output does not name \"${EXPECT}\"\n${out}${err}")
 endif()
+# Echo the program's output, so a test can also refuse output that must not
+# appear before the rejection (FAIL_REGULAR_EXPRESSION).
+message("${out}${err}")

@@ -6,12 +6,6 @@
 
 namespace hsr::net {
 
-namespace {
-
-const auto kByFlow = [](const auto& endpoint, FlowId flow) { return endpoint.flow < flow; };
-
-}  // namespace
-
 Link::Link(sim::Simulator& sim, LinkConfig config)
     : sim_(sim), config_(std::move(config)), departures_(config_.queue_capacity) {
   HSR_CHECK(config_.rate_bps > 0.0);
@@ -28,10 +22,11 @@ void Link::register_endpoint(FlowId flow, std::unique_ptr<ChannelModel> channel,
                              Receiver receiver, LinkTap* tap) {
   HSR_CHECK_MSG(channel != nullptr, "null channel");
   HSR_CHECK_MSG(receiver, "null receiver");
-  const auto pos = std::lower_bound(endpoints_.begin(), endpoints_.end(), flow, kByFlow);
-  HSR_CHECK_MSG(pos == endpoints_.end() || pos->flow != flow,
-                "flow already has an endpoint on this link");
-  endpoints_.insert(pos, Endpoint{flow, std::move(channel), std::move(receiver), tap, {}});
+  HSR_CHECK_MSG(find(flow) == nullptr, "flow already has an endpoint on this link");
+  if (endpoints_.empty()) first_flow_ = flow;
+  HSR_CHECK_MSG(std::uint64_t{flow} == first_flow_ + endpoints_.size(),
+                "flows register on a link in consecutive order");
+  endpoints_.push_back(Endpoint{std::move(channel), std::move(receiver), tap, {}});
 }
 
 const LinkStats& Link::endpoint_stats(FlowId flow) const {
@@ -58,8 +53,9 @@ LinkStats Link::stats() const {
 // inline static_assert below and the hsr-lint hotpath family together keep
 // this path allocation-free in steady state (pinned by sim.hotpath_alloc).
 const Link::Endpoint* Link::find(FlowId flow) const {
-  const auto pos = std::lower_bound(endpoints_.begin(), endpoints_.end(), flow, kByFlow);
-  return pos != endpoints_.end() && pos->flow == flow ? &*pos : nullptr;
+  // In u64, a flow below first_flow_ wraps far past the end.
+  const std::uint64_t index = std::uint64_t{flow} - first_flow_;
+  return index < endpoints_.size() ? &endpoints_[index] : nullptr;
 }
 
 Link::Endpoint& Link::endpoint_of(const Packet& packet) {

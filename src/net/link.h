@@ -95,9 +95,10 @@ class Link {
   // transmitter; its endpoint owns the rest: the channel deciding its
   // packets' fate on the air (private randomness, fade state, scripted
   // faults), the receiver its packets are delivered to, an optional capture
-  // tap (non-owning; must outlive the link) and its LinkStats. Packets find
-  // their endpoint by FlowId. Setup-time only: the registry is a sorted
-  // vector and may reallocate; the per-packet lookup is a binary search.
+  // tap (non-owning; must outlive the link) and its LinkStats. Flows register
+  // in consecutive order from the first one (f, f+1, f+2, ...), so a packet
+  // finds its endpoint by indexing with its FlowId. Setup-time only: the
+  // registry may reallocate here, never on the packet path.
   void register_endpoint(FlowId flow, std::unique_ptr<ChannelModel> channel,
                          Receiver receiver, LinkTap* tap = nullptr);
   // This flow's stats. CHECK-fails for flows that never registered.
@@ -111,7 +112,6 @@ class Link {
 
  private:
   struct Endpoint {
-    FlowId flow = 0;
     std::unique_ptr<ChannelModel> channel;
     Receiver receiver;
     LinkTap* tap = nullptr;
@@ -125,14 +125,15 @@ class Link {
   // Arrival-time bookkeeping + tap + receiver hand-off. Runs at the
   // packet's arrival instant, so sim.now() IS the arrival time.
   void deliver(const Packet& packet);
-  // Binary search over the sorted registry; nullptr for unregistered flows.
+  // The flow's slot in the registry; nullptr for unregistered flows.
   const Endpoint* find(FlowId flow) const;
   // The endpoint of a packet's flow; CHECK-fails when the flow has none.
   Endpoint& endpoint_of(const Packet& packet);
 
   sim::Simulator& sim_;
   LinkConfig config_;
-  std::vector<Endpoint> endpoints_;  // sorted by flow id
+  FlowId first_flow_ = 0;            // flow of endpoints_[0]
+  std::vector<Endpoint> endpoints_;  // endpoints_[i] serves first_flow_ + i
 
   // Time the transmitter finishes the last accepted packet.
   TimePoint busy_until_ = TimePoint::zero();

@@ -49,12 +49,12 @@ void EventQueue::release_slot(std::uint32_t index) {
   free_head_ = index;
 }
 
-EventHandle EventQueue::schedule(TimePoint when, EventAction action) {
+EventHandle EventQueue::schedule(TimePoint when, EventAction&& action) {
   return schedule(when, next_seq_++, std::move(action));
 }
 
 EventHandle EventQueue::schedule(TimePoint when, std::uint64_t seq,
-                                 EventAction action) {
+                                 EventAction&& action) {
   HSR_DCHECK_MSG(seq < next_seq_, "scheduling under a seq never handed out");
   const std::uint32_t index = acquire_slot();
   Slot& s = slots_[index];

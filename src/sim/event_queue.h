@@ -70,15 +70,16 @@ class EventQueue {
 
   // Schedules `action` at absolute time `when` under the next seq. Events at
   // equal times fire in scheduling order. Inline-sized captures are stored
-  // in the slab slot: no allocation on the schedule path.
-  EventHandle schedule(TimePoint when, EventAction action);
+  // in the slab slot: no allocation on the schedule path. Actions pass by
+  // rvalue reference down to their slot, so a capture is relocated once.
+  EventHandle schedule(TimePoint when, EventAction&& action);
 
   // Reserves the next seq without scheduling anything: a later
   // schedule(when, seq, ...) fires in the same-instant position the event
   // would have had if it had been scheduled now (see sim::Timer).
   std::uint64_t take_seq() { return next_seq_++; }
   // Schedules `action` at (when, seq) for a seq from take_seq().
-  EventHandle schedule(TimePoint when, std::uint64_t seq, EventAction action);
+  EventHandle schedule(TimePoint when, std::uint64_t seq, EventAction&& action);
 
   bool empty() const { return heap_.empty(); }
 

@@ -4,17 +4,17 @@
 
 namespace hsr::sim {
 
-EventHandle Simulator::at(TimePoint when, EventAction action) {
+EventHandle Simulator::at(TimePoint when, EventAction&& action) {
   HSR_CHECK_MSG(when >= now_, "scheduling into the past");
   return queue_.schedule(when, std::move(action));
 }
 
-EventHandle Simulator::after(Duration delay, EventAction action) {
+EventHandle Simulator::after(Duration delay, EventAction&& action) {
   HSR_CHECK_MSG(delay >= Duration::zero(), "negative delay");
   return queue_.schedule(now_ + delay, std::move(action));
 }
 
-EventHandle Simulator::at(TimePoint when, std::uint64_t seq, EventAction action) {
+EventHandle Simulator::at(TimePoint when, std::uint64_t seq, EventAction&& action) {
   HSR_CHECK_MSG(when >= now_, "scheduling into the past");
   return queue_.schedule(when, seq, std::move(action));
 }

@@ -22,13 +22,13 @@ class Simulator {
   TimePoint now() const { return now_; }
 
   // Schedules an event at an absolute time (must not be in the past).
-  EventHandle at(TimePoint when, EventAction action);
+  EventHandle at(TimePoint when, EventAction&& action);
   // Schedules an event `delay` from now (delay must be non-negative).
-  EventHandle after(Duration delay, EventAction action);
+  EventHandle after(Duration delay, EventAction&& action);
   // Reserves a same-instant position now for an event scheduled later with
   // at(when, seq, action) (see EventQueue::take_seq and sim::Timer).
   std::uint64_t take_seq() { return queue_.take_seq(); }
-  EventHandle at(TimePoint when, std::uint64_t seq, EventAction action);
+  EventHandle at(TimePoint when, std::uint64_t seq, EventAction&& action);
 
   // Called by the running event when it did no simulation work (a timer
   // wake-up that found its deadline moved or cancelled): the event then

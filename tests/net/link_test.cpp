@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -24,7 +25,10 @@ class RecordingTap : public LinkTap {
     std::uint64_t id;
     DropCause cause;
   };
-  void on_send(const Packet& p, TimePoint) override { sends.push_back(p.id); }
+  void on_send(const Packet& p, TimePoint) override {
+    sends.push_back(p.id);
+    send_stamps.push_back(p.sent_at);
+  }
   void on_drop(const Packet& p, TimePoint, const DropCause& c) override {
     drops.push_back({p.id, c});
   }
@@ -35,6 +39,7 @@ class RecordingTap : public LinkTap {
   std::vector<std::uint64_t> sends, delivers;
   std::vector<Drop> drops;
   std::vector<Duration> transits;
+  std::vector<TimePoint> send_stamps;  // sent_at as on_send saw it
 };
 
 // Attaches `flow` over a channel that never drops or delays.
@@ -188,13 +193,18 @@ TEST(LinkTest, TapSeesEverySend) {
 }
 
 TEST(LinkTest, StampsSentAt) {
+  // The stamp is on the packet before the tap sees the send, not only at
+  // delivery.
   sim::Simulator sim;
   Link link(sim, LinkConfig{});
+  RecordingTap tap;
   TimePoint stamped;
-  attach(link, 0, [&](const Packet& p) { stamped = p.sent_at; });
+  attach(link, 0, [&](const Packet& p) { stamped = p.sent_at; }, &tap);
   sim.after(Duration::millis(5), [&] { link.send(data_packet()); });
   sim.run();
-  EXPECT_EQ(stamped, TimePoint::zero() + Duration::millis(5));
+  const TimePoint five_ms = TimePoint::zero() + Duration::millis(5);
+  EXPECT_EQ(stamped, five_ms);
+  EXPECT_EQ(tap.send_stamps, std::vector<TimePoint>{five_ms});
 }
 
 // --- per-flow endpoints -------------------------------------------------------
@@ -236,28 +246,35 @@ TEST(LinkEndpointTest, RoutesEachFlowToItsOwnReceiver) {
 TEST(LinkEndpointTest, EachFlowsChannelDecidesOnlyItsOwnPacketsInSendOrder) {
   // Per-flow loss processes must evolve from their own flow's packet stream
   // alone: each endpoint's channel sees exactly its flow's packets, in the
-  // order they were sent, and nothing of the other flow's.
-  sim::Simulator sim;
-  LinkConfig cfg;
-  cfg.queue_capacity = 100;
-  Link link(sim, cfg);
-  std::vector<std::uint64_t> seen_one, seen_two;
-  link.register_endpoint(1, std::make_unique<RecordingChannel>(&seen_one),
-                         [](const Packet&) {});
-  link.register_endpoint(2, std::make_unique<RecordingChannel>(&seen_two),
-                         [](const Packet&) {});
-
-  std::vector<std::uint64_t> sent_one, sent_two;
-  for (FlowId flow : {1, 2, 1, 1, 2, 1}) {
-    Packet p = flow_packet(flow);
-    (flow == 1 ? sent_one : sent_two).push_back(p.id);
-    link.send(std::move(p));
+  // order they were sent, and nothing of another flow's. Checked on a
+  // two-flow link and on a 64-flow link (a shared cell's population), each
+  // fed an uneven send order that is not in flow order.
+  std::vector<FlowId> sixty_four_order;
+  for (FlowId k = 0; k < 256; ++k) sixty_four_order.push_back(1 + (k * 37 + k / 5) % 64);
+  const std::vector<std::pair<FlowId, std::vector<FlowId>>> inputs = {
+      {2, {1, 2, 1, 1, 2, 1}}, {64, sixty_four_order}};
+  for (const auto& [flows, order] : inputs) {
+    SCOPED_TRACE(flows);
+    sim::Simulator sim;
+    LinkConfig cfg;
+    cfg.queue_capacity = order.size();
+    Link link(sim, cfg);
+    std::vector<std::vector<std::uint64_t>> seen(flows), sent(flows);
+    for (FlowId flow = 1; flow <= flows; ++flow) {
+      link.register_endpoint(flow, std::make_unique<RecordingChannel>(&seen[flow - 1]),
+                             [](const Packet&) {});
+    }
+    for (FlowId flow : order) {
+      const Packet p = flow_packet(flow);
+      sent[flow - 1].push_back(p.id);
+      link.send(p);
+    }
+    sim.run();
+    for (FlowId flow = 1; flow <= flows; ++flow) {
+      EXPECT_EQ(seen[flow - 1], sent[flow - 1]) << "flow " << flow;
+      EXPECT_EQ(link.endpoint_stats(flow).delivered, sent[flow - 1].size()) << "flow " << flow;
+    }
   }
-  sim.run();
-  EXPECT_EQ(seen_one, sent_one);
-  EXPECT_EQ(seen_two, sent_two);
-  EXPECT_EQ(link.endpoint_stats(1).delivered, 4u);
-  EXPECT_EQ(link.endpoint_stats(2).delivered, 2u);
 }
 
 TEST(LinkEndpointTest, SplitsStatsPerFlowAndSumsToAggregate) {
@@ -334,8 +351,14 @@ TEST(LinkEndpointDeathTest, RejectsDuplicateAndUnknownFlows) {
   attach(link, 1, [](const Packet&) {});
   EXPECT_DEATH(attach(link, 1, [](const Packet&) {}), "already has an endpoint");
   EXPECT_DEATH(link.register_endpoint(2, nullptr, [](const Packet&) {}), "null channel");
+  // Flows register consecutively from the first one: 3 cannot follow 1.
+  EXPECT_DEATH(attach(link, 3, [](const Packet&) {}), "consecutive order");
   EXPECT_DEATH(link.endpoint_stats(7), "unregistered flow");
   EXPECT_DEATH(link.send(flow_packet(7)), "no endpoint");
+  // Just outside the registered range [1, 2): flow 0 wraps below the first
+  // flow, flow 2 is one past the last.
+  EXPECT_DEATH(link.send(flow_packet(0)), "no endpoint");
+  EXPECT_DEATH(link.send(flow_packet(2)), "no endpoint");
 }
 
 TEST(LinkDeathTest, RejectsBadConfig) {

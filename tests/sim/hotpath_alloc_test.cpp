@@ -152,7 +152,7 @@ TEST(FlowAllocTest, SteadyStateIsAllocationFree) {
 // with their own channels and Receivers. Once the queue and event slab reach
 // their high-water mark, pushing packets of every flow through endpoint
 // lookup, the flow's channel decide(), and endpoint delivery costs ZERO heap
-// allocations — the per-flow registry is binary-searched, not hashed, and
+// allocations — the per-flow registry is indexed by flow, not hashed, and
 // the endpoint closures fit the Receiver SBO.
 TEST(MultiFlowAllocTest, FourFlowSteadyStateDeliveryIsAllocationFree) {
   sim::Simulator sim;

@@ -1,51 +1,56 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_*.json files and fail on perf regression.
+"""Run two builds of a bench alternately on one host and fail on perf
+regression.
 
-The per-PR perf trajectory works like this: every bench binary that matters
-emits a machine-readable ``bench_out/BENCH_<name>.json`` whose ``metrics``
-object holds flat numeric fields. This tool compares a baseline file against
-a current file metric by metric and exits non-zero when any metric got more
-than ``--threshold`` (default 10 %) WORSE.
+Every bench binary that matters emits a machine-readable
+``BENCH_<name>.json`` whose ``metrics`` object holds flat numeric fields.
+Numbers recorded in different host phases cannot tell host drift from a
+regression, so this tool measures both sides itself:
+``--ab PARENT_BIN CHANGE_BIN`` runs the two binaries alternately, 10 pairs,
+flipping which side goes first each pair; every run writes into its own
+temporary ``HSR_BENCH_OUT``. Both binaries must be the same bench program:
+build the parent's ``src/`` with the change's bench source. Runs whose
+``bench`` or ``schema_version`` facts differ are refused (exit 2).
 
-Direction is inferred from the metric name, which is a schema contract
-(see bench/bench_hotpath.cpp):
+Per metric it prints both medians, the parent's quartiles
+(``statistics.quantiles(values, n=4)``, as perfbench computes them) and how
+many pairs the change won. Direction is inferred from the metric name,
+which is a schema contract (see bench/bench_hotpath.cpp):
 
   * names ending in ``_per_s`` are throughputs  -> higher is better
   * names containing ``allocs_per``             -> lower is better
   * anything else is reported but never gates (direction unknown)
 
-Allocation ratios near zero are compared with an absolute tolerance
-(``--alloc-epsilon``): a baseline of exactly 0 allocs/op must stay 0 within
-the epsilon, where a relative threshold would be meaningless.
-
-Schema v2 bench files additionally carry a top-level ``spread`` object with
-per-rep ``{min, max, mean, stddev}`` for the throughput metrics. When both
-files record a spread for a metric, the gate widens to the observed
-run-to-run noise: the effective threshold becomes
-``max(--threshold, rel_spread(base) + rel_spread(cur))`` where
-``rel_spread = (max - min) / max``. Two noisy best-of-N point samples then
-can't fail the gate on noise alone, while a genuine regression larger than
-both machines' jitter still does. Files without a ``spread`` object (schema
-v1) gate on the plain threshold as before.
+A metric regresses when the change's median is worse than the parent's by
+more than ``max(--threshold, parent IQR / parent median)``, or when an
+``allocs_per`` ratio that read zero (within ``--alloc-epsilon``) in every
+parent run reads above it in a change run.
 
 Usage:
-  bench_compare.py baseline.json current.json [--threshold 0.10]
+  bench_compare.py --ab PARENT_BIN CHANGE_BIN [--threshold 0.10]
   bench_compare.py --self-check
 
-Exit status: 0 OK / within threshold, 1 regression found, 2 usage or
-self-check failure.
+Exit status: 0 OK / within threshold, 1 regression found, 2 usage,
+mismatched benches or self-check failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DEFAULT_THRESHOLD = 0.10
 DEFAULT_ALLOC_EPSILON = 0.01
+AB_PAIRS = 10
 
 
 def metric_direction(name: str) -> str:
@@ -57,54 +62,8 @@ def metric_direction(name: str) -> str:
     return "info"
 
 
-def rel_spread(spread: dict | None) -> float:
-    """Relative run-to-run noise of one metric: (max - min) / max, or 0."""
-    if not isinstance(spread, dict):
-        return 0.0
-    try:
-        lo = float(spread["min"])
-        hi = float(spread["max"])
-    except (KeyError, TypeError, ValueError):
-        return 0.0
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= 0 or lo > hi:
-        return 0.0
-    return (hi - lo) / hi
-
-
-def compare_metric(name: str, base: float, cur: float, threshold: float,
-                   alloc_epsilon: float, base_spread: dict | None = None,
-                   cur_spread: dict | None = None):
-    """Returns (status, detail); status in {'ok', 'regression', 'info'}."""
-    direction = metric_direction(name)
-    if direction == "info":
-        return "info", f"{name}: {base:g} -> {cur:g} (not gated)"
-    noise = rel_spread(base_spread) + rel_spread(cur_spread)
-    if noise > 0.0:
-        threshold = max(threshold, noise)
-    if direction == "down":
-        # Ratios hugging zero: relative change is noise, use absolute slack.
-        if max(abs(base), abs(cur)) <= alloc_epsilon:
-            return "ok", f"{name}: {base:g} -> {cur:g} (within alloc epsilon)"
-        if base <= alloc_epsilon < cur:
-            return "regression", (f"{name}: {base:g} -> {cur:g} "
-                                  f"(was ~zero, now above epsilon {alloc_epsilon:g})")
-        worse = (cur - base) / abs(base)
-        if worse > threshold:
-            return "regression", (f"{name}: {base:g} -> {cur:g} "
-                                  f"(+{worse * 100:.1f} %, limit {threshold * 100:.0f} %)")
-        return "ok", f"{name}: {base:g} -> {cur:g} ({worse * 100:+.1f} %)"
-    # direction == "up"
-    if base <= 0:
-        return "info", f"{name}: non-positive baseline {base:g} (not gated)"
-    drop = (base - cur) / base
-    if drop > threshold:
-        return "regression", (f"{name}: {base:g} -> {cur:g} "
-                              f"(-{drop * 100:.1f} %, limit {threshold * 100:.0f} %)")
-    return "ok", f"{name}: {base:g} -> {cur:g} ({-drop * 100:+.1f} %)"
-
-
-def load_metrics(path: Path) -> tuple[dict, dict]:
-    """Returns (metrics, spreads); spreads is {} for schema-v1 files."""
+def load_summary(path: Path) -> tuple[tuple, dict]:
+    """Returns ((bench, schema_version), metrics) of one BENCH_*.json."""
     with path.open() as f:
         doc = json.load(f)
     metrics = doc.get("metrics")
@@ -115,134 +74,198 @@ def load_metrics(path: Path) -> tuple[dict, dict]:
            or not math.isfinite(float(v))]
     if bad:
         raise ValueError(f"{path}: non-numeric or non-finite metric(s): {', '.join(bad)}")
-    spreads = doc.get("spread")
-    if not isinstance(spreads, dict):
-        spreads = {}
-    return {k: float(v) for k, v in metrics.items()}, spreads
+    identity = (doc.get("bench"), doc.get("schema_version"))
+    return identity, {k: float(v) for k, v in metrics.items()}
 
 
-def run_compare(baseline: Path, current: Path, threshold: float,
-                alloc_epsilon: float) -> int:
+def parent_quartiles(values: list[float]) -> tuple[float, float]:
+    """(Q1, Q3) of the parent's runs; both the value itself for one run."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def ab_verdict(name: str, parent: list[float], change: list[float], threshold: float,
+               alloc_epsilon: float):
+    """Judges one metric over paired runs; returns (status, detail) with
+    status in {'ok', 'regression', 'info'}."""
+    direction = metric_direction(name)
+    p_med = statistics.median(parent)
+    c_med = statistics.median(change)
+    q1, q3 = parent_quartiles(parent)
+    wins = sum((c > p) if direction == "up" else (c < p)
+               for p, c in zip(parent, change)) if direction != "info" else 0
+    detail = (f"{name}: parent {p_med:g} (Q1 {q1:g}, Q3 {q3:g}) -> change {c_med:g}, "
+              f"change wins {wins}/{len(change)}")
+    if direction == "info":
+        return "info", detail + " (not gated)"
+    if direction == "down" and max(parent) <= alloc_epsilon:
+        if max(change) > alloc_epsilon:
+            return "regression", detail + f" (lost its zero: a run read {max(change):g})"
+        return "ok", detail
+    if p_med <= 0:
+        return "info", detail + " (non-positive parent median, not gated)"
+    limit = max(threshold, (q3 - q1) / p_med)
+    moved = (c_med - p_med) / p_med
+    worse = -moved if direction == "up" else moved
+    detail += f" ({moved * 100:+.1f} %, limit {limit * 100:.1f} %)"
+    return ("regression" if worse > limit else "ok"), detail
+
+
+def run_bench(binary: Path) -> tuple[tuple, dict]:
+    """Runs `binary` with a fresh temporary HSR_BENCH_OUT (also its working
+    directory) and returns the identity and metrics of the one BENCH_*.json
+    it wrote."""
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as out:
+        env = dict(os.environ, HSR_BENCH_OUT=out)
+        proc = subprocess.run([str(binary)], cwd=out, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, check=False)
+        written = sorted(Path(out).glob("BENCH_*.json"))
+        # Exit status 1 is a bench's own gate; its summary is still written,
+        # and the allocation rule below judges it.
+        if proc.returncode not in (0, 1) or len(written) != 1:
+            raise ValueError(f"{binary} exited {proc.returncode} and wrote "
+                             f"{len(written)} BENCH_*.json file(s)\n{proc.stderr}")
+        return load_summary(written[0])
+
+
+def run_ab(parent_bin: Path, change_bin: Path, threshold: float, alloc_epsilon: float,
+           run=run_bench) -> int:
+    binaries = {"parent": parent_bin.resolve(), "change": change_bin.resolve()}
+    runs = {"parent": [], "change": []}
+    identities = {"parent": set(), "change": set()}
     try:
-        base, base_spreads = load_metrics(baseline)
-        cur, cur_spreads = load_metrics(current)
+        for pair in range(AB_PAIRS):
+            # Flip which side goes first, so a host phase that favours the
+            # first (or second) run of a pair favours neither build.
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                identity, metrics = run(binaries[side])
+                identities[side].add(identity)
+                runs[side].append(metrics)
+            # Two bench programs time different code, so their numbers say
+            # nothing about the change: stop after the first pair.
+            seen = identities["parent"] | identities["change"]
+            if len(seen) > 1:
+                raise ValueError(
+                    "the two binaries are different bench programs (bench, schema_version): "
+                    f"parent {sorted(identities['parent'], key=str)}, "
+                    f"change {sorted(identities['change'], key=str)}; "
+                    "build the parent's src/ with the change's bench source")
+            print(f"bench_compare: pair {pair + 1}/{AB_PAIRS} done ({order[0]} first)",
+                  file=sys.stderr, flush=True)
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print(f"bench_compare: {e}", file=sys.stderr)
         return 2
     regressions = 0
-    for name in sorted(set(base) | set(cur)):
-        if name not in base:
-            print(f"  NEW  {name}: {cur[name]:g} (no baseline, not gated)")
+    names = set().union(*runs["parent"], *runs["change"])
+    for name in sorted(names):
+        parent = [r[name] for r in runs["parent"] if name in r]
+        change = [r[name] for r in runs["change"] if name in r]
+        if not parent:
+            print(f"  NEW  {name}: change median {statistics.median(change):g} "
+                  "(no parent, not gated)")
             continue
-        if name not in cur:
-            print(f"  GONE {name}: metric present in baseline only")
+        if not change:
+            print(f"  GONE {name}: metric reported by the parent only")
             regressions += 1
             continue
-        status, detail = compare_metric(name, base[name], cur[name], threshold,
-                                        alloc_epsilon,
-                                        base_spreads.get(name),
-                                        cur_spreads.get(name))
-        tag = {"ok": "  ok  ", "regression": "  FAIL ", "info": "  info "}[status]
-        print(tag + detail)
-        if status == "regression":
-            regressions += 1
+        status, detail = ab_verdict(name, parent, change, threshold, alloc_epsilon)
+        print({"ok": "  ok  ", "regression": "  FAIL ", "info": "  info "}[status] + detail)
+        regressions += status == "regression"
     if regressions:
-        print(f"bench_compare: {regressions} regression(s) beyond "
-              f"{threshold * 100:.0f} % vs {baseline}")
+        print(f"bench_compare: {regressions} regression(s) over {AB_PAIRS} A/B pairs")
         return 1
-    print(f"bench_compare: OK ({len(base)} metrics within {threshold * 100:.0f} %)")
+    print(f"bench_compare: OK ({AB_PAIRS} A/B pairs)")
     return 0
 
 
 # --- self-check -------------------------------------------------------------
 
-SELF_CHECK_CASES = [
-    # (name, baseline, current, expected status)
-    ("schedule_fire_events_per_s", 100.0, 95.0, "ok"),          # -5 % throughput
-    ("schedule_fire_events_per_s", 100.0, 89.0, "regression"),  # -11 % throughput
-    ("schedule_fire_events_per_s", 100.0, 150.0, "ok"),         # improvement
-    ("flow_allocs_per_event", 1.0, 1.05, "ok"),                 # +5 % allocs
-    ("flow_allocs_per_event", 1.0, 1.2, "regression"),          # +20 % allocs
-    ("flow_allocs_per_event", 0.0, 0.0, "ok"),                  # zero stays zero
-    ("flow_allocs_per_event", 0.0, 0.005, "ok"),                # within epsilon
-    ("flow_allocs_per_event", 0.0, 0.5, "regression"),          # zero-alloc lost
-    ("flow_allocs_per_event", 2.0, 1.0, "ok"),                  # fewer allocs
-    ("flow_sim_events", 1000.0, 1.0, "info"),                   # unknown direction
-    # The analysis metrics (bench_hotpath schema v4) gate by name too.
-    ("analysis_flows_per_s", 1000.0, 850.0, "regression"),      # -15 % analyses/s
-    ("analysis_allocs_per_flow", 4.0, 4.0, "ok"),               # constant per call
-    ("analysis_allocs_per_flow", 4.0, 6.0, "regression"),       # +50 % per call
-    # The timer metrics (bench_hotpath schema v5) gate by name too.
-    ("timer_rearm_ops_per_s", 100.0, 95.0, "ok"),               # -5 % re-arms/s
-    ("timer_rearm_ops_per_s", 100.0, 80.0, "regression"),       # -20 % re-arms/s
-    ("timer_rearm_allocs_per_op", 0.0, 0.0, "ok"),              # zero stays zero
-    ("timer_rearm_allocs_per_op", 0.0, 1.0, "regression"),      # zero-alloc lost
-    ("timer_arm_cancel_ops_per_s", 100.0, 89.0, "regression"),  # -11 % pairs/s
-    ("timer_arm_cancel_allocs_per_op", 0.0, 0.005, "ok"),       # within epsilon
-    ("timer_arm_cancel_allocs_per_op", 0.0, 0.5, "regression"), # zero-alloc lost
-    # The unit-cost metrics (bench_hotpath schema v6) gate by name too.
-    ("radio_queries_per_s", 100.0, 95.0, "ok"),                 # -5 % queries/s
-    ("radio_queries_per_s", 100.0, 85.0, "regression"),         # -15 % queries/s
-    ("link_allocs_per_packet", 0.0, 0.0, "ok"),                 # zero stays zero
-    ("link_allocs_per_packet", 0.0, 0.5, "regression"),         # zero-alloc lost
-    # The checksum metric (bench_trace schema v3) gates by name too.
-    ("crc32c_mb_per_s", 2600.0, 2450.0, "ok"),                  # -6 % MB/s
-    ("crc32c_mb_per_s", 2600.0, 650.0, "regression"),           # table path again
+# (name, parent runs, change runs, expected status) for the A/B rule.
+TIGHT = [99.0, 99.5, 100.0, 100.0, 100.5, 101.0]  # IQR ~1 % of the median
+NOISY = [70.0, 80.0, 90.0, 100.0, 110.0, 120.0]   # IQR ~37 % of the median
+ZERO = [0.0] * 6
+
+
+def scaled(runs: list[float], k: float) -> list[float]:
+    return [x * k for x in runs]
+
+
+AB_CASES = [
+    ("schedule_fire_events_per_s", TIGHT, scaled(TIGHT, 0.95), "ok"),          # -5 %
+    ("schedule_fire_events_per_s", TIGHT, scaled(TIGHT, 0.89), "regression"),  # -11 %
+    ("schedule_fire_events_per_s", TIGHT, scaled(TIGHT, 1.50), "ok"),          # faster
+    ("schedule_fire_events_per_s", TIGHT, TIGHT, "ok"),                        # same runs
+    # A noisy parent widens the limit to its IQR / median ...
+    ("flow_events_per_s", NOISY, scaled(NOISY, 0.80), "ok"),                   # -20 %
+    # ... but never past a loss larger than that spread.
+    ("flow_events_per_s", NOISY, scaled(NOISY, 0.55), "regression"),           # -45 %
+    # Lower is better for allocation ratios that are not zero.
+    ("flow_allocs_per_event", [1.0] * 6, [1.05] * 6, "ok"),                    # +5 %
+    ("flow_allocs_per_event", [1.0] * 6, [1.2] * 6, "regression"),             # +20 %
+    ("flow_allocs_per_event", [2.0] * 6, [1.0] * 6, "ok"),                     # fewer
+    ("analysis_allocs_per_flow", [4.0] * 6, [4.0] * 6, "ok"),
+    ("analysis_allocs_per_flow", [4.0] * 6, [6.0] * 6, "regression"),          # +50 %
+    # A zero must stay zero in every change run.
+    ("link_allocs_per_packet", ZERO, ZERO, "ok"),
+    ("link_allocs_per_packet", ZERO, [0.004] * 6, "ok"),                       # epsilon
+    ("link_allocs_per_packet", ZERO, ZERO[1:] + [0.5], "regression"),          # one run
+    ("timer_rearm_allocs_per_op", ZERO, [1.0] * 6, "regression"),
+    # Every gated family keys off its name, whichever bench reports it.
+    ("analysis_flows_per_s", TIGHT, scaled(TIGHT, 0.85), "regression"),        # -15 %
+    ("timer_arm_cancel_ops_per_s", TIGHT, scaled(TIGHT, 0.89), "regression"),  # -11 %
+    ("radio_queries_per_s", TIGHT, scaled(TIGHT, 0.95), "ok"),                 # -5 %
+    ("radio_queries_per_s", TIGHT, scaled(TIGHT, 0.85), "regression"),         # -15 %
+    ("shared_link_packets_per_s", TIGHT, scaled(TIGHT, 0.85), "regression"),   # -15 %
+    ("crc32c_mb_per_s", TIGHT, scaled(TIGHT, 0.94), "ok"),                     # -6 %
+    ("crc32c_mb_per_s", TIGHT, scaled(TIGHT, 0.25), "regression"),             # table path
+    ("flow_sim_events", [1000.0] * 6, [1.0] * 6, "info"),                      # no direction
 ]
 
-# (name, baseline, current, base_spread, cur_spread, expected status)
-SPREAD_CASES = [
-    # -15 % drop, but each side is ~10 % noisy -> gate widens to 20 %, passes.
-    ("flow_events_per_s", 100.0, 85.0,
-     {"min": 90.0, "max": 100.0}, {"min": 76.5, "max": 85.0}, "ok"),
-    # -15 % drop with tight spreads -> still a regression.
-    ("flow_events_per_s", 100.0, 85.0,
-     {"min": 99.0, "max": 100.0}, {"min": 84.5, "max": 85.0}, "regression"),
-    # -30 % drop dwarfs the combined ~20 % noise -> regression.
-    ("flow_events_per_s", 100.0, 70.0,
-     {"min": 90.0, "max": 100.0}, {"min": 63.0, "max": 70.0}, "regression"),
-    # Spread only on one side still widens the gate by that side's noise.
-    ("flow_events_per_s", 100.0, 88.0,
-     {"min": 85.0, "max": 100.0}, None, "ok"),
-    # Degenerate spreads never tighten the gate below --threshold.
-    ("flow_events_per_s", 100.0, 95.0,
-     {"min": 100.0, "max": 100.0}, {"max": "nan"}, "ok"),
+# (parent identity, change identity, expected exit status) for whole A/B
+# runs over fake benches that report the same metrics.
+AB_RUN_CASES = [
+    (("hotpath", 7), ("hotpath", 7), 0),
+    (("hotpath", 6), ("hotpath", 7), 2),  # a bench schema change between sides
+    (("trace", 3), ("hotpath", 7), 2),    # two different benches
 ]
+
+
+def fake_bench(identities: dict):
+    """A stand-in for run_bench: each binary path reports its own identity."""
+    return lambda binary: (identities[binary.name], {"m_per_s": 1.0, "m_allocs_per_op": 0.0})
 
 
 def run_self_check() -> int:
     failures = []
-    for name, base, cur, expected in SELF_CHECK_CASES:
-        status, detail = compare_metric(name, base, cur, DEFAULT_THRESHOLD,
-                                        DEFAULT_ALLOC_EPSILON)
+    for name, parent, change, expected in AB_CASES:
+        status, detail = ab_verdict(name, parent, change, DEFAULT_THRESHOLD,
+                                    DEFAULT_ALLOC_EPSILON)
         if status != expected:
             failures.append(f"{detail}: got {status}, expected {expected}")
-    for name, base, cur, bs, cs, expected in SPREAD_CASES:
-        status, detail = compare_metric(name, base, cur, DEFAULT_THRESHOLD,
-                                        DEFAULT_ALLOC_EPSILON, bs, cs)
+    for parent_id, change_id, expected in AB_RUN_CASES:
+        fake = fake_bench({"parent_bin": parent_id, "change_bin": change_id})
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            status = run_ab(Path("parent_bin"), Path("change_bin"), DEFAULT_THRESHOLD,
+                            DEFAULT_ALLOC_EPSILON, run=fake)
         if status != expected:
-            failures.append(f"[spread] {detail}: got {status}, expected {expected}")
-    # A file compared against itself can never regress.
-    identical = {f"m{i}_per_s": float(i + 1) for i in range(4)}
-    for name, value in identical.items():
-        status, _ = compare_metric(name, value, value, DEFAULT_THRESHOLD,
-                                   DEFAULT_ALLOC_EPSILON)
-        if status != "ok":
-            failures.append(f"self-compare of {name} not ok: {status}")
+            failures.append(f"A/B of {parent_id} against {change_id}: "
+                            f"exit {status}, expected {expected}")
     if failures:
         for f in failures:
             print(f"self-check FAIL: {f}")
         return 2
-    print(f"self-check OK ({len(SELF_CHECK_CASES) + len(SPREAD_CASES)} cases)")
+    print(f"self-check OK ({len(AB_CASES) + len(AB_RUN_CASES)} cases)")
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", nargs="?", type=Path,
-                        help="baseline BENCH_*.json")
-    parser.add_argument("current", nargs="?", type=Path,
-                        help="current BENCH_*.json to gate")
+    parser.add_argument("--ab", nargs=2, type=Path, metavar=("PARENT_BIN", "CHANGE_BIN"),
+                        help="run two builds' bench binaries alternately and compare")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="allowed relative worsening (default 0.10 = 10 %%)")
     parser.add_argument("--alloc-epsilon", type=float, default=DEFAULT_ALLOC_EPSILON,
@@ -253,10 +276,9 @@ def main() -> int:
 
     if args.self_check:
         return run_self_check()
-    if args.baseline is None or args.current is None:
-        parser.error("baseline and current files are required (or --self-check)")
-    return run_compare(args.baseline, args.current, args.threshold,
-                       args.alloc_epsilon)
+    if args.ab is None:
+        parser.error("--ab PARENT_BIN CHANGE_BIN or --self-check is required")
+    return run_ab(args.ab[0], args.ab[1], args.threshold, args.alloc_epsilon)
 
 
 if __name__ == "__main__":
